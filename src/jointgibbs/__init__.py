@@ -24,7 +24,6 @@ from .lattice import (
 from .model import (
     AnnealedPotential,
     BoundaryCondition,
-    JointConfig,
     ModelSpec,
     annealed_potential,
     delta_H,
@@ -70,7 +69,6 @@ from .disorder import (
     cbar,
     decay_budget,
     energy_energy_correlation,
-    sample_disorder,
 )
 from .stats import EstimatedValue, batch_means, slope, slope_with_ci
 

@@ -69,15 +69,39 @@ def parse_box(text: str) -> Box:
         raise ConfigError(
             f"bad box spec {text!r}: leading number must be the dimension"
         )
-    return Box.from_shape(*nums[1:])
+    return _box_of(nums[1:], text)
+
+
+def _box_of(extents: list, given) -> Box:
+    if not extents or min(extents) < 1:
+        raise ConfigError(f"bad box {given!r}: extents must be positive")
+    return Box.from_shape(*extents)
 
 
 def _box_from_config(value) -> Box:
     if isinstance(value, str):
         return parse_box(value)
     if isinstance(value, (list, tuple)):
-        return Box.from_shape(*(int(v) for v in value))
+        try:
+            extents = [int(v) for v in value]
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad box value {value!r}") from None
+        return _box_of(extents, value)
     raise ConfigError(f"bad box value {value!r}")
+
+
+def _field(cfg: dict, key: str, default, convert):
+    """``convert`` applied to a config field; a ConfigError names a bad one."""
+    value = cfg.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad config field {key!r}: {value!r}") from None
+
+
+def _require_inside(window_sites, box: Box) -> None:
+    if not SiteSet(window_sites).issubset(box):
+        raise ConfigError(f"window is not inside the box {box.to_json()}")
 
 
 def load_config(path: str | None) -> dict:
@@ -118,7 +142,10 @@ def build_model(cfg: dict):
     spec_cfg = cfg.get("model")
     if spec_cfg is None:
         return make_rfim(0.3, 0.5)
-    return load_model(spec_cfg)
+    try:
+        return load_model(spec_cfg)
+    except ValueError as exc:
+        raise ConfigError(f"bad model config: {exc}") from None
 
 
 def build_bc(cfg: dict) -> BoundaryCondition:
@@ -155,7 +182,7 @@ def build_alpha(cfg: dict, spec) -> NormalizingMeasure:
 def require_seed(cfg: dict) -> int:
     if cfg.get("seed") is None:
         raise ConfigError("--seed is mandatory for Monte Carlo commands")
-    return int(cfg["seed"])
+    return _field(cfg, "seed", None, int)
 
 
 def emit(cfg: dict, command: str, artifacts: dict, report: dict) -> None:
@@ -228,9 +255,9 @@ def cmd_check(cfg: dict) -> int:
     spec = build_model(cfg)
     box = _box_from_config(cfg.get("box", "2x3x3"))
     bc = build_bc(cfg)
-    tol = float(cfg.get("tol", 1e-9))
-    trials = int(cfg.get("trials", 50))
-    seed = int(cfg.get("seed", 0))
+    tol = _field(cfg, "tol", 1e-9, float)
+    trials = _field(cfg, "trials", 50, int)
+    seed = _field(cfg, "seed", 0, int)
     ctx = QKernelContext(spec, box, bc)
     alpha = build_alpha(cfg, spec)
     rng = np.random.default_rng(seed)
@@ -262,16 +289,20 @@ def cmd_check(cfg: dict) -> int:
         window = Box(box.lower, tuple(l + s - 1 for l, s in zip(box.lower, shape)))
     table_path = cfg.get("potential")
     if table_path is not None:
-        with open(table_path) as fp:
-            table = PotentialTable.load(fp)
+        try:
+            with open(table_path) as fp:
+                table = PotentialTable.load(fp)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read potential table: {exc}") from None
         if table.window_sites is not None:
             window = SiteSet(table.window_sites)
-    else:
+    win_sites = tuple(window.sites()) if isinstance(window, Box) else window.sites
+    _require_inside(win_sites, box)
+    if table_path is None:
         table = relative_energy_table(ctx, alpha, window=window)
 
     # subset-transform roundtrip: partial sums against the direct energies
     worst, witness = 0.0, None
-    win_sites = tuple(window.sites()) if isinstance(window, Box) else window.sites
     for _ in range(trials // 5 + 1):
         k = int(rng.integers(1, len(win_sites) + 1))
         pick = sorted(rng.choice(len(win_sites), size=k, replace=False))
@@ -360,6 +391,7 @@ def cmd_potential(cfg: dict) -> int:
     bc = build_bc(cfg)
     alpha = build_alpha(cfg, spec)
     window = _box_from_config(cfg["window"]) if "window" in cfg else box
+    _require_inside(window.sites(), box)
     ctx = QKernelContext(spec, box, bc)
     try:
         table = relative_energy_table(ctx, alpha, window=window)
@@ -370,11 +402,11 @@ def cmd_potential(cfg: dict) -> int:
         if mode == "mc":
             table = center_potential(
                 table, spec.nu, mode="mc",
-                samples=int(cfg.get("samples", 2000)), seed=require_seed(cfg),
+                samples=_field(cfg, "samples", 2000, int), seed=require_seed(cfg),
             )
         else:
             table = center_potential(table, spec.nu)
-    table = prune_table(table, float(cfg.get("prune", 0.0)))
+    table = prune_table(table, _field(cfg, "prune", 0.0, float))
     summary = table_summary(table)
     report = {"command": "potential", "model": spec.name, "summary": summary}
     emit(cfg, "potential", {"table.json": table.to_json(), "summary.json": summary}, report)
@@ -394,8 +426,8 @@ def cmd_converge(cfg: dict) -> int:
     sizes = [len(tuple(b.sites())) for b in boxes]
     if any(b >= a for a, b in zip(sizes[1:], sizes)):
         raise ConfigError("box sequence must be strictly increasing")
-    radii = [int(r) for r in cfg.get("radii", [1, 2, 3, 4])]
-    samples = int(cfg.get("samples", 1000))
+    radii = _field(cfg, "radii", [1, 2, 3, 4], lambda v: [int(r) for r in v])
+    samples = _field(cfg, "samples", 1000, int)
     seed = require_seed(cfg)
     fill = cfg.get("eta_fill", spec.disorder_values[0])
     if isinstance(fill, list):
@@ -438,13 +470,17 @@ def cmd_correlations(cfg: dict) -> int:
     spec = build_model(cfg)
     box = _box_from_config(cfg.get("box", "1x12"))
     bc = build_bc(cfg)
-    samples = int(cfg.get("samples", 2000))
+    samples = _field(cfg, "samples", 2000, int)
     seed = require_seed(cfg)
-    ms = [int(m) for m in cfg.get("m_values", [1, 2, 3, 4])]
+    ms = _field(cfg, "m_values", [1, 2, 3, 4], lambda v: [int(m) for m in v])
+    extent = box.upper[0] - box.lower[0] + 1
+    if not all(1 <= m < extent for m in ms):
+        raise ConfigError(f"m_values {ms} must lie in 1..{extent - 1} for this box")
     ctx = QKernelContext(spec, box, bc)
     ests = [cbar(ctx, m, samples, seed) for m in ms]
     d = len(box.lower)
-    budget = decay_budget({e.m: e for e in ests}, cfg.get("weight", 1.0), d, spec=spec)
+    weight = _field(cfg, "weight", 1.0, float)
+    budget = decay_budget({e.m: e for e in ests}, weight, d, spec=spec)
     # fit log cbar against m only where cbar rises above rounding noise
     above = [e for e in ests if e.cbar > CBAR_NOISE_FLOOR]
     fit = {"slope": None, "halfwidth95": None, "status": "no signal",
@@ -479,16 +515,17 @@ def cmd_correlations(cfg: dict) -> int:
 
 
 def cmd_dilute_coeffs(cfg: dict) -> int:
-    J = float(cfg.get("J", 0.8))
+    J = _field(cfg, "J", 0.8, float)
     window = _box_from_config(cfg.get("window", cfg.get("box", "2x2x2")))
     sites = tuple(window.sites())
     if len(sites) > 12:
         raise ConfigError(f"window of {len(sites)} sites is too large for subset sweep")
+    prune = _field(cfg, "prune", 1e-13, float)
     table = PotentialTable(window, alpha="vacuum:0", meta={"J": J})
     for mask in range(1, 1 << len(sites)):
         A = [sites[i] for i in range(len(sites)) if mask >> i & 1]
         v = dilute_vacuum_coeff(J, A)
-        if abs(v) > float(cfg.get("prune", 1e-13)):
+        if abs(v) > prune:
             table.set(A, ConstantEntry(v))
     pair_val = math.log(math.cosh(J))
     summary = table_summary(table)
@@ -536,9 +573,6 @@ def main(argv=None) -> int:
         cfg = resolve(load_config(args.config), args)
         return args.fn(cfg)
     except (ConfigError, JointGibbsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

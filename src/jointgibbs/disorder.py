@@ -57,11 +57,6 @@ class DisorderSampler:
         return {s: self.values[int(k)] for s, k in zip(self.sites, picks)}
 
 
-def sample_disorder(sampler: DisorderSampler, index: int) -> dict:
-    """One disorder configuration, a deterministic function of (seed, index)."""
-    return sampler.sample(index)
-
-
 # ---------------------------------------------------------------------------
 # quenched covariances of disorder flips
 # ---------------------------------------------------------------------------
@@ -141,15 +136,14 @@ def cbar(
     *,
     batches: int = DEFAULT_BATCHES,
     axis: int = 0,
-    sweep_directions: bool = False,
 ) -> CorrelationEstimate:
     """Estimate the averaged absolute flip covariance at separation ``m``.
 
     Draws disorder configurations i.i.d. from the model's product law,
-    computes |c_xy| at a centered axis-aligned pair for every choice of the
+    computes |c_xy| at a centered pair along ``axis`` for every choice of the
     two flip values, and returns the largest mean with its batch-means
     error; the per-value breakdown (including the signed mean as a
-    diagnostic) is attached.  ``sweep_directions`` maximizes over axes too.
+    diagnostic) is attached.
     """
     if m < 1:
         raise ValueError("separation must be at least 1")
@@ -157,42 +151,34 @@ def cbar(
         raise ConfigError(
             f"insufficient samples: {samples} < {2 * batches} (2 per batch)"
         )
-    axes = range(len(ctx.box.lower)) if sweep_directions else [axis]
     sampler = DisorderSampler(ctx.spec.nu, ctx.eta_domain, seed)
     values = ctx.spec.disorder_values
-    best = None
-    for ax in axes:
-        x, y = representative_pair(ctx.box, m, ax)
-        series = {
-            (vx, vy): np.zeros(samples) for vx in values for vy in values
+    x, y = representative_pair(ctx.box, m, axis)
+    series = {(vx, vy): np.zeros(samples) for vx in values for vy in values}
+    for i in range(samples):
+        tilde = sampler.sample(i)
+        for (vx, vy), arr in series.items():
+            arr[i] = c_xy(ctx, x, y, vx, vy, tilde)
+    breakdown = {}
+    top = None
+    for key, arr in series.items():
+        est = batch_means(np.abs(arr), batches)
+        breakdown[key] = {
+            "mean_abs": est.value,
+            "stderr": est.stderr,
+            "mean_signed": float(arr.mean()),
         }
-        for i in range(samples):
-            tilde = sampler.sample(i)
-            for (vx, vy), arr in series.items():
-                arr[i] = c_xy(ctx, x, y, vx, vy, tilde)
-        breakdown = {}
-        top = None
-        for key, arr in series.items():
-            est = batch_means(np.abs(arr), batches)
-            breakdown[key] = {
-                "mean_abs": est.value,
-                "stderr": est.stderr,
-                "mean_signed": float(arr.mean()),
-            }
-            if top is None or est.value > top[0]:
-                top = (est.value, est.stderr, key)
-        cand = CorrelationEstimate(
-            m=int(m),
-            cbar=top[0],
-            stderr=top[1],
-            n_samples=samples,
-            pair=(x, y),
-            breakdown=breakdown,
-            meta={"seed": seed, "axis": ax, "argmax": list(top[2])},
-        )
-        if best is None or cand.cbar > best.cbar:
-            best = cand
-    return best
+        if top is None or est.value > top[0]:
+            top = (est.value, est.stderr, key)
+    return CorrelationEstimate(
+        m=int(m),
+        cbar=top[0],
+        stderr=top[1],
+        n_samples=samples,
+        pair=(x, y),
+        breakdown=breakdown,
+        meta={"seed": seed, "axis": axis, "argmax": list(top[2])},
+    )
 
 
 # ---------------------------------------------------------------------------

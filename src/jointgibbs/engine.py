@@ -1,4 +1,4 @@
-"""Exhaustive spin-sum backends and the strip transfer-matrix accelerator.
+"""Exhaustive spin sums and the strip transfer-matrix accelerator.
 
 A spin system is compiled to a flat term list: term ``t`` touches a tuple of
 free-site indices and carries a value table over the joint local spin states
@@ -6,16 +6,9 @@ free-site indices and carries a value table over the joint local spin states
 partition function is then a sum over all ``q^n`` configurations of
 ``exp(-E)``, always accumulated in log space.
 
-Two exhaustive backends compute identical results:
-
-* a numba kernel streaming configurations in odometer order with incremental
-  energy updates (a digit change touches only the terms incident to it);
-* a chunked pure-numpy fallback that broadcasts term tables over blocks of
-  configuration codes.
-
-Set ``JOINTGIBBS_DISABLE_NUMBA=1`` to force the numpy path (the numba path is
-used automatically when numba imports).  ``benchmarks/bench_engine.py``
-compares the two.
+The exhaustive sweep is chunked numpy: it broadcasts term tables over blocks
+of configuration codes and rescales its running sums whenever a block lowers
+the minimum energy.
 
 The transfer matrix handles 1D chains and 2D strips (state = one column of
 spins, capped at 64 states); it is an accelerator for large boxes, never the
@@ -25,7 +18,6 @@ source of truth — cross-checks against enumeration live in the test suite.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,25 +26,18 @@ import numpy as np
 from .errors import CapExceededError
 
 ENUMERATION_CAP = 22  # max free spins for exhaustive enumeration (q=2)
+TM_THRESHOLD = 18  # auto backend: try the transfer matrix above this many spins
 TM_STATE_CAP = 64  # max q^width for the transfer matrix
 _NUMPY_CHUNK = 1 << 16
 
-try:  # pragma: no cover - exercised indirectly
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAS_NUMBA = False
+# There is no numba backend.  The committed benchmark's worker still reads
+# these two names for its environment record; they go with the next change
+# to the benchmark.
+HAS_NUMBA = False
 
 
 def numba_enabled() -> bool:
-    """True when the numba kernels are active (importable and not disabled)."""
-    return HAS_NUMBA and os.environ.get("JOINTGIBBS_DISABLE_NUMBA", "") not in (
-        "1",
-        "true",
-        "yes",
-    )
+    return False
 
 
 @dataclass
@@ -152,31 +137,8 @@ class ProductObservable:
 
 
 # ---------------------------------------------------------------------------
-# numpy backend
+# exhaustive sweep
 # ---------------------------------------------------------------------------
-
-
-def _flatten_terms(system: CompiledSystem):
-    q = system.q
-    nt = len(system.term_sites)
-    sptr = np.zeros(nt + 1, dtype=np.int64)
-    for t, sites in enumerate(system.term_sites):
-        sptr[t + 1] = sptr[t] + len(sites)
-    sites_flat = np.zeros(sptr[-1], dtype=np.int64)
-    stride_flat = np.zeros(sptr[-1], dtype=np.int64)
-    for t, sites in enumerate(system.term_sites):
-        for j, s in enumerate(sites):
-            sites_flat[sptr[t] + j] = s
-            stride_flat[sptr[t] + j] = q**j
-    tptr = np.zeros(nt + 1, dtype=np.int64)
-    for t, tab in enumerate(system.term_tables):
-        tptr[t + 1] = tptr[t] + tab.size
-    tables_flat = (
-        np.concatenate(system.term_tables)
-        if nt
-        else np.zeros(0, dtype=np.float64)
-    )
-    return sptr, sites_flat, stride_flat, tptr, tables_flat
 
 
 def _chunk_energies(system: CompiledSystem, codes: np.ndarray) -> np.ndarray:
@@ -197,12 +159,21 @@ def _chunk_energies(system: CompiledSystem, codes: np.ndarray) -> np.ndarray:
     return e
 
 
-def sweep_numpy(system: CompiledSystem, observables: Sequence[ProductObservable] = ()):
-    """Exhaustive sweep, chunked numpy path.
+def sweep(
+    system: CompiledSystem,
+    observables: Sequence[ProductObservable] = (),
+    cap: int = ENUMERATION_CAP,
+):
+    """Exhaustive sweep over all configurations; refuses oversized systems.
 
     Returns ``(log_z, expectations)`` where ``expectations[k]`` is the Gibbs
     expectation of the k-th product observable.
     """
+    bits = system.n_sites * math.log2(system.q)
+    if bits > cap:
+        raise CapExceededError("spin enumeration", math.ceil(bits), cap)
+    if system.n_sites == 0:
+        return -system.const, [1.0 for _ in observables]
     q, n = system.q, system.n_sites
     total = q**n
     ref = math.inf  # running minimum energy (log-sum-exp reference)
@@ -226,133 +197,6 @@ def sweep_numpy(system: CompiledSystem, observables: Sequence[ProductObservable]
             sf[k] += float(w @ f)
     log_z = -ref + math.log(sz)
     return log_z, [s / sz for s in sf]
-
-
-# ---------------------------------------------------------------------------
-# numba backend (odometer order, incremental energy updates)
-# ---------------------------------------------------------------------------
-
-
-def _sweep_kernel(
-    n, q, sptr, sites_flat, stride_flat, tptr, tables_flat, const,
-    site_ptr, inc_term, inc_stride, obs_ptr, obs_sites, obs_values,
-):  # pragma: no cover - covered via dispatch tests
-    nt = len(sptr) - 1
-    digits = np.zeros(n, dtype=np.int64)
-    code = np.zeros(nt, dtype=np.int64)
-    e = const
-    for t in range(nt):
-        e += tables_flat[tptr[t]]
-
-    n_obs = len(obs_ptr) - 1
-    ref = e  # reference energy for the streaming log-sum-exp
-    sz = 0.0
-    sf = np.zeros(n_obs, dtype=np.float64)
-    total = 1
-    for _ in range(n):
-        total *= q
-
-    for _ in range(total):
-        if e < ref:
-            scale = np.exp(e - ref)
-            sz *= scale
-            for k in range(n_obs):
-                sf[k] *= scale
-            ref = e
-        w = np.exp(ref - e)
-        sz += w
-        for k in range(n_obs):
-            f = 1.0
-            for j in range(obs_ptr[k], obs_ptr[k + 1]):
-                f *= obs_values[j * q + digits[obs_sites[j]]]
-            sf[k] += w * f
-        # odometer increment with incremental energy/code updates
-        i = 0
-        while i < n:
-            a = digits[i]
-            b = a + 1
-            if b == q:
-                b = 0
-            delta = b - a
-            for j in range(site_ptr[i], site_ptr[i + 1]):
-                t = inc_term[j]
-                e -= tables_flat[tptr[t] + code[t]]
-                code[t] += delta * inc_stride[j]
-                e += tables_flat[tptr[t] + code[t]]
-            digits[i] = b
-            if b != 0:
-                break
-            i += 1
-    log_z = -ref + np.log(sz)
-    for k in range(n_obs):
-        sf[k] /= sz
-    return log_z, sf
-
-
-_sweep_kernel_jit = None
-
-
-def _get_jit_kernel():
-    global _sweep_kernel_jit
-    if _sweep_kernel_jit is None:
-        _sweep_kernel_jit = numba.njit(cache=True)(_sweep_kernel)
-    return _sweep_kernel_jit
-
-
-def sweep_numba(system: CompiledSystem, observables: Sequence[ProductObservable] = ()):
-    """Exhaustive sweep via the numba odometer kernel."""
-    sptr, sites_flat, stride_flat, tptr, tables_flat = _flatten_terms(system)
-    n, q = system.n_sites, system.q
-    # per-site incidence lists for incremental updates
-    per_site: list = [[] for _ in range(n)]
-    for t, sites in enumerate(system.term_sites):
-        for j, s in enumerate(sites):
-            per_site[s].append((t, q**j))
-    site_ptr = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n):
-        site_ptr[i + 1] = site_ptr[i] + len(per_site[i])
-    inc_term = np.zeros(site_ptr[-1], dtype=np.int64)
-    inc_stride = np.zeros(site_ptr[-1], dtype=np.int64)
-    pos = 0
-    for i in range(n):
-        for t, stride in per_site[i]:
-            inc_term[pos] = t
-            inc_stride[pos] = stride
-            pos += 1
-    obs_ptr = np.zeros(len(observables) + 1, dtype=np.int64)
-    for k, obs in enumerate(observables):
-        obs_ptr[k + 1] = obs_ptr[k] + len(obs.sites)
-    obs_sites = np.zeros(obs_ptr[-1], dtype=np.int64)
-    obs_values = np.zeros(obs_ptr[-1] * q, dtype=np.float64)
-    pos = 0
-    for obs in observables:
-        for s, vals in zip(obs.sites, obs.values):
-            obs_sites[pos] = s
-            obs_values[pos * q : (pos + 1) * q] = vals
-            pos += 1
-    kern = _get_jit_kernel()
-    log_z, sf = kern(
-        n, q, sptr, sites_flat, stride_flat, tptr, tables_flat, system.const,
-        site_ptr, inc_term, inc_stride, obs_ptr, obs_sites, obs_values,
-    )
-    return float(log_z), [float(v) for v in sf]
-
-
-def sweep(
-    system: CompiledSystem,
-    observables: Sequence[ProductObservable] = (),
-    cap: int = ENUMERATION_CAP,
-):
-    """Exhaustive sweep via the active backend; refuses oversized systems."""
-    bits = system.n_sites * math.log2(system.q)
-    if bits > cap:
-        raise CapExceededError("spin enumeration", math.ceil(bits), cap)
-    if system.n_sites == 0:
-        base = -system.const
-        return base, [1.0 for _ in observables]
-    if numba_enabled():
-        return sweep_numba(system, observables)
-    return sweep_numpy(system, observables)
 
 
 def log_partition_enumerate(system: CompiledSystem, cap: int = ENUMERATION_CAP) -> float:
@@ -461,12 +305,11 @@ def log_partition(
     system: CompiledSystem,
     backend: str = "auto",
     cap: int = ENUMERATION_CAP,
-    tm_threshold: int = 18,
 ) -> float:
     """Log partition function; ``backend`` is auto|enumerate|transfer.
 
     ``auto`` prefers the transfer matrix once the box outgrows
-    ``tm_threshold`` spins (and the geometry allows it), else enumerates.
+    ``TM_THRESHOLD`` spins (and the geometry allows it), else enumerates.
     """
     if backend == "enumerate":
         return log_partition_enumerate(system, cap)
@@ -477,7 +320,7 @@ def log_partition(
         return log_partition_transfer(system, plan)
     if backend != "auto":
         raise ValueError(f"unknown backend {backend!r}")
-    if system.n_sites * math.log2(system.q) > tm_threshold:
+    if system.n_sites * math.log2(system.q) > TM_THRESHOLD:
         plan = plan_transfer(system)
         if plan is not None:
             return log_partition_transfer(system, plan)

@@ -147,20 +147,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class JointConfig:
-    """A joint (spin, disorder) assignment on an explicit region."""
-
-    region: SiteSet
-    sigma: dict
-    eta: dict
-
-    def __post_init__(self):
-        for x in self.region:
-            if x not in self.sigma or x not in self.eta:
-                raise ConfigError(f"joint configuration missing site {x}")
-
-
-@dataclass(frozen=True)
 class BoundaryCondition:
     """Spin boundary condition: free, or frozen spins on a collar.
 

@@ -18,6 +18,7 @@ batch-means error bars.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -41,7 +42,9 @@ from .lattice import (
     connected_components,
     linf_dist,
 )
+from .model import make_dilute
 from .qkernel import QKernelContext
+from .quenched import QuenchedEnsemble
 from .stats import DEFAULT_BATCHES, EstimatedValue, batch_means
 
 EXACT_INTEGRATION_CAP_BITS = 20
@@ -167,7 +170,6 @@ def relative_energy(
     eta_V: Mapping,
     alpha: NormalizingMeasure,
     *,
-    vacuum_ctx: QKernelContext | None = None,
     mode: str = "exact",
     samples: int | None = None,
     seed: int | None = None,
@@ -178,9 +180,7 @@ def relative_energy(
 
     Against a product law this integrates the reference configuration out
     exactly (capped) or by paired Monte Carlo (``mode='mc'``); against a
-    point mass it is a single log-ratio, optionally with the vacuum-side
-    normalization evaluated in a different context (its boundary condition
-    is a genuinely free choice).
+    point mass it is a single log-ratio.
     """
     Vset = V if isinstance(V, SiteSet) else SiteSet(V)
     if len(Vset) == 0:
@@ -193,10 +193,7 @@ def relative_energy(
         num = dict(vac)
         for s in Vset:
             num[s] = eta_V[s]
-        den_ctx = vacuum_ctx if vacuum_ctx is not None else ctx
-        return ctx.log_partition_at(num) - den_ctx.log_partition_at(
-            alpha.vacuum_on(den_ctx.eta_domain)
-        )
+        return ctx.log_partition_at(num) - ctx.log_partition_at(vac)
 
     law = alpha.law(ctx.spec)
     rest = [s for s in ctx.eta_domain if s not in Vset]
@@ -511,14 +508,13 @@ def relative_energy_table(
     alpha: NormalizingMeasure,
     *,
     window=None,
-    vacuum_ctx: QKernelContext | None = None,
     cap: int = SUBSET_ENUMERATION_CAP,
 ) -> PotentialTable:
     """Möbius potential of this context's relative energy over its window."""
     window = window if window is not None else ctx.box
     return mobius_potential(
         window,
-        lambda A, eta: relative_energy(ctx, A, eta, alpha, vacuum_ctx=vacuum_ctx),
+        lambda A, eta: relative_energy(ctx, A, eta, alpha),
         disorder_values=ctx.spec.disorder_values,
         alpha_tag=alpha.tag(),
         cap=cap,
@@ -536,8 +532,6 @@ def check_martingale(
     delta,
     eta_V: Mapping,
     alpha: NormalizingMeasure,
-    *,
-    vacuum_ctx: QKernelContext | None = None,
 ) -> float:
     """Residual of averaging the larger-patch energy down to the smaller.
 
@@ -557,13 +551,13 @@ def check_martingale(
             patch = dict(assign)
             for s in Vset:
                 patch[s] = eta_V[s]
-            lhs += w * relative_energy(ctx, dset, patch, alpha, vacuum_ctx=vacuum_ctx)
+            lhs += w * relative_energy(ctx, dset, patch, alpha)
     else:
         patch = alpha.vacuum_on(fill)
         for s in Vset:
             patch[s] = eta_V[s]
-        lhs = relative_energy(ctx, dset, patch, alpha, vacuum_ctx=vacuum_ctx)
-    rhs = relative_energy(ctx, Vset, eta_V, alpha, vacuum_ctx=vacuum_ctx)
+        lhs = relative_energy(ctx, dset, patch, alpha)
+    rhs = relative_energy(ctx, Vset, eta_V, alpha)
     if len(Vset) == 0:
         rhs = 0.0
     return lhs - rhs
@@ -601,7 +595,6 @@ def partial_sum_expected(
     eta: Mapping,
     alpha: NormalizingMeasure,
     *,
-    vacuum_ctx: QKernelContext | None = None,
     cap_bits: int = EXACT_INTEGRATION_CAP_BITS,
 ) -> float:
     """The averaged log-ratio the partial sum must reproduce.
@@ -643,13 +636,7 @@ def partial_sum_expected(
         env[s] = alpha.vacuum_at(s)
     e1 = {s: eta[s] for s in Vset}
     e2 = alpha.vacuum_on(Vset.sites)
-    if vacuum_ctx is None:
-        return ctx.log_q(Vset, e1, e2, env)
-    num = dict(env)
-    num.update(e1)
-    den = dict(env)
-    den.update(e2)
-    return ctx.log_partition_at(num) - vacuum_ctx.log_partition_at(den)
+    return ctx.log_q(Vset, e1, e2, env)
 
 
 def reconstruct_conditional(
@@ -1389,42 +1376,30 @@ def _epsilon_single(
 # dilute-model closed forms
 # ---------------------------------------------------------------------------
 
-_ISING_LOGZ_CACHE: dict = {}
 ISING_ENUM_CAP = 20
 
 
 def ising_free_log_partition(sites, J: float) -> float:
     """log of the free-boundary Ising partition function on a site set.
 
-    Couplings ``-J s s'`` on nearest-neighbour pairs inside the set; plain
-    exhaustive enumeration with bit tricks, memoized per (sites, J).
+    Couplings ``-J s s'`` on nearest-neighbour pairs inside the set: the
+    dilute model's own Hamiltonian with every site occupied, summed by the
+    engine's exhaustive sweep and memoized per (sites, J).
     """
-    key = (_sites_key(sites), float(J))
-    hit = _ISING_LOGZ_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ss = key[0]
-    n = len(ss)
-    if n == 0:
+    key = _sites_key(sites)
+    if not key:
         return 0.0
-    if n > ISING_ENUM_CAP:
-        raise CapExceededError("Ising enumeration", n, ISING_ENUM_CAP)
-    idx = {s: i for i, s in enumerate(ss)}
-    bonds = []
-    for s in ss:
-        for a in range(len(s)):
-            t = tuple(c + (1 if a2 == a else 0) for a2, c in enumerate(s))
-            if t in idx:
-                bonds.append((idx[s], idx[t]))
-    codes = np.arange(1 << n, dtype=np.int64)
-    energy = np.zeros(1 << n)
-    for i, j in bonds:
-        aligned = ((codes >> i) & 1) == ((codes >> j) & 1)
-        energy += np.where(aligned, -J, J)
-    m = energy.min()
-    out = float(-m + np.log(np.exp(m - energy).sum()))
-    _ISING_LOGZ_CACHE[key] = out
-    return out
+    if len(key) > ISING_ENUM_CAP:
+        raise CapExceededError("Ising enumeration", len(key), ISING_ENUM_CAP)
+    return _occupied_log_partition(key, float(J))
+
+
+# bounded; the CLI's largest coefficient window (12 sites) reads 4095 subsets
+@functools.lru_cache(maxsize=1 << 14)
+def _occupied_log_partition(sites: tuple, J: float) -> float:
+    # the occupation law p is irrelevant once every site is occupied
+    ens = QuenchedEnsemble(make_dilute(J, 0.5), sites, {s: 1 for s in sites})
+    return ens.log_partition("enumerate")
 
 
 def dilute_vacuum_coeff(J: float, A, cap: int = ISING_ENUM_CAP) -> float:
@@ -1441,12 +1416,14 @@ def dilute_vacuum_coeff(J: float, A, cap: int = ISING_ENUM_CAP) -> float:
         return 0.0
     if n > cap:
         raise CapExceededError("coefficient window", n, cap)
+    J = float(J)
     log2 = math.log(2.0)
     total = 0.0
-    for mask in range(1 << n):
-        sub = [key[i] for i in range(n) if mask >> i & 1]
+    # subsets of the sorted key are sorted: read the memo without re-keying
+    for mask in range(1, 1 << n):
+        sub = tuple(key[i] for i in range(n) if mask >> i & 1)
         sign = -1.0 if (n - len(sub)) % 2 else 1.0
-        total += sign * (ising_free_log_partition(sub, J) - len(sub) * log2)
+        total += sign * (_occupied_log_partition(sub, J) - len(sub) * log2)
     return total
 
 

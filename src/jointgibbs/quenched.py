@@ -221,16 +221,16 @@ class QuenchedEnsemble:
             tabs.append([f(v) for v in values])
         return ProductObservable.of(idx, tabs)
 
-    def spin_product(self, sites: Iterable[Site], backend: str = "auto") -> float:
+    def spin_product(self, sites: Iterable[Site]) -> float:
         """Expectation of the product of spins on ``sites``."""
         self._require_numeric_spins()
         sites = [as_site(s) for s in sites]
         obs = self._product_obs(sites, [lambda v: float(v)] * len(sites))
         return engine.sweep(self.compile(), (obs,))[1][0]
 
-    def magnetization(self, site: Site, backend: str = "auto") -> float:
+    def magnetization(self, site: Site) -> float:
         """Expected spin at one site; numeric spin alphabets only."""
-        return self.spin_product([site], backend)
+        return self.spin_product([site])
 
     def _require_numeric_spins(self):
         if not all(isinstance(v, Real) for v in self.spec.spin_values):

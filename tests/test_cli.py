@@ -59,6 +59,47 @@ def test_monte_carlo_commands_demand_a_seed(capsys):
     assert main(["converge"]) == 2
 
 
+def test_bad_box_extents_are_usage_errors(tmp_path, capsys):
+    assert main(["potential", "--box", "1x0"]) == 2
+    assert "extents must be positive" in capsys.readouterr().err
+    cfg = write_config(tmp_path, "cfg.json", {"box": [3, 0]})
+    assert main(["potential", "--config", cfg]) == 2
+    assert "extents must be positive" in capsys.readouterr().err
+
+
+def test_separations_must_fit_the_box(tmp_path, capsys):
+    # the default m_values reach 4, which does not fit a 4-site chain
+    assert main(["correlations", "--box", "1x4", "--seed", "1"]) == 2
+    assert "m_values" in capsys.readouterr().err
+    cfg = write_config(tmp_path, "cfg.json", {"box": "1x6", "m_values": [0, 1]})
+    assert main(["correlations", "--config", cfg, "--seed", "1"]) == 2
+    assert "m_values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["potential", "check"])
+def test_window_outside_the_box_is_a_usage_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "cfg.json", {"box": "1x3", "window": "1x5"})
+    assert main([command, "--config", cfg]) == 2
+    assert "not inside the box" in capsys.readouterr().err
+
+
+def test_bad_numeric_field_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"box": "1x3", "prune": "some"})
+    assert main(["potential", "--config", cfg]) == 2
+    assert "'prune'" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    import jointgibbs.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "cbar", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["correlations", "--box", "1x6", "--seed", "1", "--samples", "20"])
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

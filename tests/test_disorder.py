@@ -12,7 +12,6 @@ from jointgibbs.disorder import (
     decay_budget,
     energy_energy_correlation,
     representative_pair,
-    sample_disorder,
     write_correlation_csv,
 )
 from jointgibbs.errors import ConfigError
@@ -34,7 +33,7 @@ def test_sampler_reproducible_per_index():
     a = sampler.sample(7)
     b = sampler.sample(7)
     assert a == b
-    assert sample_disorder(sampler, 7) == a
+    assert sampler.sample(7) == a
     c = sampler.sample(8)
     assert c != a  # 2^-12 collision chance with this seed: none
 

@@ -10,10 +10,8 @@ from jointgibbs.engine import (
     log_partition,
     log_partition_enumerate,
     log_partition_transfer,
-    numba_enabled,
     plan_transfer,
-    sweep_numba,
-    sweep_numpy,
+    sweep,
 )
 from jointgibbs.errors import CapExceededError
 
@@ -63,27 +61,10 @@ def test_numpy_sweep_matches_brute():
             ProductObservable.of([0, 3], [np.array([-1.0, 1.0])] * 2),
             ProductObservable.of([2], [np.array([0.0, 1.0])]),
         ]
-        logz, means = sweep_numpy(sys_, obs)
+        logz, means = sweep(sys_, obs)
         ref_logz, ref_means = brute_sweep(sys_, obs)
         assert logz == pytest.approx(ref_logz, abs=1e-12)
         assert means == pytest.approx(ref_means, abs=1e-12)
-
-
-@pytest.mark.skipif(not numba_enabled(), reason="numba unavailable or disabled")
-def test_numba_matches_numpy():
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        sys_ = random_system(rng, n=8, n_terms=12)
-        obs = [ProductObservable.of([1, 4, 6], [np.array([-1.0, 1.0])] * 3)]
-        za, ma = sweep_numba(sys_, obs)
-        zb, mb = sweep_numpy(sys_, obs)
-        assert za == pytest.approx(zb, abs=1e-11)
-        assert ma == pytest.approx(mb, abs=1e-11)
-
-
-def test_disable_flag_forces_numpy(monkeypatch):
-    monkeypatch.setenv("JOINTGIBBS_DISABLE_NUMBA", "1")
-    assert not numba_enabled()
 
 
 def test_numpy_sweep_rescales_across_chunks(monkeypatch):
@@ -95,7 +76,7 @@ def test_numpy_sweep_rescales_across_chunks(monkeypatch):
     sys_ = random_system(rng, n=12, n_terms=16)
     sys_.add_term([11], np.array([0.0, -9.0]))
     obs = [ProductObservable.of([0, 11], [np.array([-1.0, 1.0])] * 2)]
-    logz, means = sweep_numpy(sys_, obs)
+    logz, means = sweep(sys_, obs)
     ref_logz, ref_means = brute_sweep(sys_, obs)
     assert logz == pytest.approx(ref_logz, abs=1e-11)
     assert means == pytest.approx(ref_means, abs=1e-11)
@@ -191,8 +172,6 @@ def test_enumeration_cap():
 
 
 def test_zero_site_system():
-    from jointgibbs.engine import sweep
-
     sys_ = CompiledSystem(0, 2)
     sys_.const += 1.25
     logz, means = sweep(sys_)

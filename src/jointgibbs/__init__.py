@@ -17,7 +17,6 @@ from .lattice import (
     boundary,
     connected_components,
     enumerate_subsets,
-    l1_dist,
     linf_dist,
     r_neighborhood,
 )

@@ -38,8 +38,9 @@ from .potentials import (
     center_potential,
     check_alpha_normalization,
     check_martingale,
-    dilute_vacuum_coeff,
     epsilon_diagnostic,
+    ising_free_log_partition,
+    mobius_potential,
     partial_sum,
     partial_sum_expected,
     reconstruct_conditional,
@@ -398,14 +399,7 @@ def cmd_potential(cfg: dict) -> int:
     except CapExceededError as exc:
         raise ConfigError(f"table refused: {exc}") from None
     if cfg.get("center"):
-        mode = cfg.get("center_mode", "exact")
-        if mode == "mc":
-            table = center_potential(
-                table, spec.nu, mode="mc",
-                samples=_field(cfg, "samples", 2000, int), seed=require_seed(cfg),
-            )
-        else:
-            table = center_potential(table, spec.nu)
+        table = center_potential(table, spec.nu)
     table = prune_table(table, _field(cfg, "prune", 0.0, float))
     summary = table_summary(table)
     report = {"command": "potential", "model": spec.name, "summary": summary}
@@ -521,12 +515,15 @@ def cmd_dilute_coeffs(cfg: dict) -> int:
     if len(sites) > 12:
         raise ConfigError(f"window of {len(sites)} sites is too large for subset sweep")
     prune = _field(cfg, "prune", 1e-13, float)
+    log2 = math.log(2.0)
+    # one butterfly over the window gives every subset's dilute_vacuum_coeff
+    coeffs = mobius_potential(
+        window, lambda A: ising_free_log_partition(A.sites, J) - len(A) * log2
+    )
     table = PotentialTable(window, alpha="vacuum:0", meta={"J": J})
-    for mask in range(1, 1 << len(sites)):
-        A = [sites[i] for i in range(len(sites)) if mask >> i & 1]
-        v = dilute_vacuum_coeff(J, A)
-        if abs(v) > prune:
-            table.set(A, ConstantEntry(v))
+    for A, entry in coeffs.items():
+        if abs(entry.v) > prune:
+            table.set(A.sites, entry)
     pair_val = math.log(math.cosh(J))
     summary = table_summary(table)
     summary["closed_forms"] = {

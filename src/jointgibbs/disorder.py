@@ -2,7 +2,8 @@
 
 Disorder fields are drawn sitewise i.i.d. from a product law with a
 (master seed, sample index) scheme, so any sample can be regenerated in
-isolation.  The correlation machinery estimates the disorder-averaged
+isolation.  Every Monte Carlo average over the disorder law in the package
+draws from this one stream.  The correlation machinery estimates the disorder-averaged
 absolute covariance of two local disorder flips under the quenched Gibbs
 measure, tracks it against separation, and combines it with a translation-
 invariant weight into a single decay budget.
@@ -49,11 +50,24 @@ class DisorderSampler:
             self.sites = tuple(sorted(as_site(s) for s in region))
         self.seed = int(seed)
 
-    def sample(self, index: int) -> dict:
-        if index < 0:
+    def digits(self, start: int, count: int) -> np.ndarray:
+        """Draws ``start .. start+count-1`` as indices into ``values``.
+
+        Row ``i`` is the draw of sample index ``start + i`` (one site per
+        column, in ``sites`` order), so any block of the stream can be
+        regenerated on its own.
+        """
+        if start < 0:
             raise ConfigError("sample index must be nonnegative")
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, int(index)]))
-        picks = rng.choice(len(self.values), size=len(self.sites), p=self.probs)
+        out = np.empty((count, len(self.sites)), dtype=np.int64)
+        for i in range(count):
+            seq = np.random.SeedSequence([self.seed, int(start) + i])
+            rng = np.random.default_rng(seq)
+            out[i] = rng.choice(len(self.values), size=len(self.sites), p=self.probs)
+        return out
+
+    def sample(self, index: int) -> dict:
+        picks = self.digits(index, 1)[0]
         return {s: self.values[int(k)] for s, k in zip(self.sites, picks)}
 
 

@@ -38,11 +38,6 @@ def linf_dist(a: Site, b: Site) -> int:
     return max(abs(u - v) for u, v in zip(a, b))
 
 
-def l1_dist(a: Site, b: Site) -> int:
-    """l1 (nearest-neighbor graph) distance between two sites."""
-    return sum(abs(u - v) for u, v in zip(a, b))
-
-
 @dataclass(frozen=True)
 class Box:
     """A rectangular box in Z^d given by its lower and upper corners (inclusive).

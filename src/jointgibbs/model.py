@@ -142,9 +142,6 @@ class ModelSpec:
             raise ConfigError(f"disorder value {value!r} has zero weight")
         return math.log(w)
 
-    def disorder_index(self, value) -> int:
-        return self.disorder_values.index(value)
-
 
 @dataclass(frozen=True)
 class BoundaryCondition:

@@ -27,6 +27,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import engine
+from .disorder import DisorderSampler
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -213,13 +215,10 @@ def relative_energy(
     if mode == "mc":
         if samples is None or seed is None:
             raise ConfigError("MC mode needs samples and seed")
-        rng = np.random.default_rng([seed])
-        values, weights = zip(*_law_items(law))
-        probs = np.asarray(weights, dtype=np.float64)
-        draws = rng.choice(len(values), size=(samples, len(ctx.eta_domain)), p=probs)
+        sampler = DisorderSampler(law, ctx.eta_domain, seed)
         out = np.zeros(samples)
-        for i in range(samples):
-            tilde = {s: values[int(k)] for s, k in zip(ctx.eta_domain, draws[i])}
+        for i, row in enumerate(sampler.digits(0, samples)):
+            tilde = {s: sampler.values[int(k)] for s, k in zip(sampler.sites, row)}
             base = ctx.log_partition_at(tilde)
             mixed = dict(tilde)
             for s in Vset:
@@ -699,29 +698,18 @@ def _annealed_sets(ctx: QKernelContext, Vset: SiteSet) -> list:
 # ---------------------------------------------------------------------------
 
 
-def center_potential(
-    table: PotentialTable,
-    law: Mapping,
-    *,
-    mode: str = "exact",
-    samples: int | None = None,
-    seed: int | None = None,
-    batches: int = DEFAULT_BATCHES,
-) -> PotentialTable:
+def center_potential(table: PotentialTable, law: Mapping) -> PotentialTable:
     """Subtract from every entry its product-law average over the entry sites.
 
-    Exact mode enumerates disorder patterns per entry; MC mode estimates the
-    averages from seeded samples and attaches standard errors in the result
-    metadata.  Symbolic occupied-product entries center in closed form.
+    The average enumerates the disorder patterns of each entry exactly; the
+    centered entry is tabulated over those same patterns.  Symbolic
+    occupied-product entries center in closed form.
     """
     out = PotentialTable(
         table.window_box or table.window_sites, alpha=table.alpha, meta=dict(table.meta)
     )
-    stderrs = {}
     items = _law_items(law)
     values = [v for v, _ in items]
-    probs = np.asarray([w for _, w in items])
-    rng = np.random.default_rng([seed]) if seed is not None else None
     for A, entry in table.items():
         key = A.sites
         if isinstance(entry, ConstantEntry):
@@ -731,25 +719,9 @@ def center_potential(
             p = dict(items).get(1, 0.0)
             out.set(key, OccupiedProductEntry(entry.coeff, center=p))
             continue
-        if mode == "exact":
-            mean = 0.0
-            for assign, w in _product_assignments(key, law):
-                mean += w * entry.value(key, assign)
-        elif mode == "mc":
-            if samples is None or rng is None:
-                raise ConfigError("MC centering needs samples and seed")
-            draws = rng.choice(len(values), size=(samples, len(key)), p=probs)
-            vals = np.array(
-                [
-                    entry.value(key, {s: values[int(k)] for s, k in zip(key, row)})
-                    for row in draws
-                ]
-            )
-            est = batch_means(vals, batches)
-            mean = est.value
-            stderrs[str(list(map(list, key)))] = est.stderr
-        else:
-            raise ConfigError(f"unknown mode {mode!r}")
+        mean = 0.0
+        for assign, w in _product_assignments(key, law):
+            mean += w * entry.value(key, assign)
         k = len(items)
         tab = np.zeros(k ** len(key))
         for idx, combo in enumerate(product(values, repeat=len(key))):
@@ -758,8 +730,6 @@ def center_potential(
                 j += values.index(combo[pos]) * k**pos
             tab[j] = entry.value(key, dict(zip(key, combo))) - mean
         out.set(key, TabulatedEntry(tab, values))
-    if stderrs:
-        out.meta["center_stderr"] = stderrs
     return out
 
 
@@ -1201,8 +1171,12 @@ class ConvergenceDiagnostic:
             writer.writerow(row)
 
 
+# inner averages enumerate the free disorder patterns up to this many bits
+EXACT_INNER_BITS = 14
+
+
 def epsilon_diagnostic(
-    ctxs,
+    ctx: QKernelContext,
     x,
     radii: Sequence[int],
     *,
@@ -1211,9 +1185,7 @@ def epsilon_diagnostic(
     alpha: NormalizingMeasure | None = None,
     eta_x_value=None,
     batches: int = DEFAULT_BATCHES,
-    inner_cap_bits: int = 14,
-    inner_samples: int | None = None,
-):
+) -> ConvergenceDiagnostic:
     """Estimate the truncation error of the averaged single-site log-ratio.
 
     For each radius r, the inner average over reference disorder is taken
@@ -1221,50 +1193,23 @@ def epsilon_diagnostic(
     re-averaged beyond), and compared against the full-environment value;
     the estimate is the mean absolute difference over outer disorder
     samples, with batch-means errors.  Inner averages are exact when the
-    free pattern count fits ``inner_cap_bits``, otherwise paired Monte
-    Carlo with common reference draws across radii.
-
-    Accepts one context or a sequence (a volume study); returns one
-    diagnostic or a list.
+    free pattern count fits ``EXACT_INNER_BITS``, otherwise paired Monte
+    Carlo with common reference draws across radii.  Outer and reference
+    draws are consecutive blocks of one :class:`DisorderSampler` stream.
     """
-    if isinstance(ctxs, QKernelContext):
-        return _epsilon_single(
-            ctxs, x, radii, samples, seed, alpha, eta_x_value, batches,
-            inner_cap_bits, inner_samples,
-        )
-    return [
-        _epsilon_single(
-            c, x, radii, samples, seed, alpha, eta_x_value, batches,
-            inner_cap_bits, inner_samples,
-        )
-        for c in ctxs
-    ]
-
-
-def _epsilon_single(
-    ctx: QKernelContext,
-    x,
-    radii,
-    samples,
-    seed,
-    alpha,
-    eta_x_value,
-    batches,
-    inner_cap_bits,
-    inner_samples,
-) -> ConvergenceDiagnostic:
     x = as_site(x)
-    domain = ctx.eta_domain
+    law = (alpha or NormalizingMeasure.product()).law(ctx.spec)
+    sampler = DisorderSampler(law, ctx.eta_domain, seed)
+    domain = sampler.sites
     n = len(domain)
     pos = {s: i for i, s in enumerate(domain)}
     if x not in pos:
         raise ValueError(f"site {x} carries no disorder in this context")
-    law = (alpha or NormalizingMeasure.product()).law(ctx.spec)
-    items = _law_items(law)
-    values = [v for v, _ in items]
-    probs = np.asarray([w for _, w in items])
+    values = sampler.values
+    probs = sampler.probs
     k = len(values)
-    if k**n <= 1 << inner_cap_bits:
+    exact_inner = k**n <= 1 << EXACT_INNER_BITS
+    if exact_inner:
         logz_table = np.empty(k**n)
         for code in range(k**n):
             assign = {}
@@ -1274,7 +1219,6 @@ def _epsilon_single(
                 c //= k
             logz_table[code] = ctx.log_partition_at(assign)
         lookup = lambda codes: logz_table[codes]
-        exact_inner = True
     else:
         memo: dict = {}
 
@@ -1294,14 +1238,13 @@ def _epsilon_single(
                 out[i] = v
             return out.reshape(np.shape(codes))
 
-        exact_inner = False
-
     strides = np.array([k**i for i in range(n)], dtype=np.int64)
-    rng = np.random.default_rng([seed])
-    outer = rng.choice(k, size=(samples, n), p=probs)
+    outer = sampler.digits(0, samples)
     if eta_x_value is not None:
         outer[:, pos[x]] = values.index(eta_x_value)
     outer_codes = outer @ strides
+    # reference draws, shared by every radius whose inner average is sampled
+    ref = None if exact_inner else sampler.digits(samples, max(256, samples // 4))
 
     # the full (untruncated) inner average: flip only the site itself
     base_wo_x = outer_codes - outer[:, pos[x]] * strides[pos[x]]
@@ -1322,37 +1265,25 @@ def _epsilon_single(
 
     eps = []
     errs = []
+    x_term = outer[:, pos[x]] * strides[pos[x]]
     for r in radii:
         near = [i for s, i in pos.items() if s != x and linf_dist(s, x) <= r]
         far = [i for s, i in pos.items() if s != x and linf_dist(s, x) > r]
         kept_mask = np.zeros(n, dtype=bool)
         kept_mask[near] = True
         base_kept = (outer * kept_mask) @ strides
-        if exact_inner or k ** len(far) <= 1 << inner_cap_bits:
+        if k ** len(far) <= 1 << EXACT_INNER_BITS:
             far_codes, far_w = inner_patterns(far)
-            x_term = outer[:, pos[x]] * strides[pos[x]]
-            g = np.zeros(samples)
-            for fj in range(far_codes.size):
-                top = lookup(base_kept + x_term + far_codes[fj])
-                bot = np.zeros(samples)
-                for j in range(k):
-                    bot += probs[j] * lookup(
-                        base_kept + far_codes[fj] + j * strides[pos[x]]
-                    )
-                g += far_w[fj] * (top - bot)
         else:
-            m = inner_samples or max(256, samples // 4)
-            draws = rng.choice(k, size=(m, len(far)), p=probs)
-            far_codes = draws @ strides[far] if far else np.zeros(m, dtype=np.int64)
-            g = np.zeros(samples)
-            for fj in range(m):
-                top = lookup(base_kept + outer[:, pos[x]] * strides[pos[x]] + far_codes[fj])
-                bot = np.zeros(samples)
-                for j in range(k):
-                    bot += probs[j] * lookup(
-                        base_kept + far_codes[fj] + j * strides[pos[x]]
-                    )
-                g += (top - bot) / m
+            far_codes = ref[:, far] @ strides[far]
+            far_w = np.full(far_codes.size, 1.0 / far_codes.size)
+        g = np.zeros(samples)
+        for fj in range(far_codes.size):
+            top = lookup(base_kept + x_term + far_codes[fj])
+            bot = np.zeros(samples)
+            for j in range(k):
+                bot += probs[j] * lookup(base_kept + far_codes[fj] + j * strides[pos[x]])
+            g += far_w[fj] * (top - bot)
         diff = np.abs(g - full)
         est = batch_means(diff, batches)
         eps.append(est.value)
@@ -1399,7 +1330,7 @@ def ising_free_log_partition(sites, J: float) -> float:
 def _occupied_log_partition(sites: tuple, J: float) -> float:
     # the occupation law p is irrelevant once every site is occupied
     ens = QuenchedEnsemble(make_dilute(J, 0.5), sites, {s: 1 for s in sites})
-    return ens.log_partition("enumerate")
+    return engine.log_partition(ens.compile(), "enumerate")
 
 
 def dilute_vacuum_coeff(J: float, A, cap: int = ISING_ENUM_CAP) -> float:

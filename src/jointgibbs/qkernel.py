@@ -51,12 +51,10 @@ class QKernelContext:
         spec: ModelSpec,
         box: Box,
         bc: BoundaryCondition | None = None,
-        backend: str = "auto",
     ):
         self.spec = spec
         self.box = box
         self.bc = bc if bc is not None else BoundaryCondition.free()
-        self.backend = backend
         proto = QuenchedEnsemble(
             spec,
             box,
@@ -96,7 +94,7 @@ class QKernelContext:
         key = self._eta_key(eta)
         hit = self._logz.get(key)
         if hit is None:
-            hit = self.ensemble(eta).log_partition(self.backend)
+            hit = self.ensemble(eta).log_partition()
             self._logz[key] = hit
         return hit
 
@@ -149,7 +147,7 @@ class QKernelContext:
                     A, lambda sig, A=A: self.spec.phi(A, sig, m1) - self.spec.phi(A, sig, m2)
                 )
             )
-        return ens.log_expectation_exp_neg(extras, self.backend)
+        return ens.log_expectation_exp_neg(extras)
 
     # -- property report ---------------------------------------------------------
 

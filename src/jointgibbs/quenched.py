@@ -92,7 +92,7 @@ class QuenchedEnsemble:
             raise ConfigError(f"disorder not assigned on sites {missing}")
 
         self._system: CompiledSystem | None = None
-        self._logz: dict = {}
+        self._logz: float | None = None
 
     # -- compilation ---------------------------------------------------------
 
@@ -144,23 +144,14 @@ class QuenchedEnsemble:
 
     # -- normalization and probabilities --------------------------------------
 
-    def log_partition(self, backend: str = "auto") -> float:
-        if backend not in self._logz:
-            self._logz[backend] = engine.log_partition(self.compile(), backend)
-        return self._logz[backend]
+    def log_partition(self) -> float:
+        if self._logz is None:
+            self._logz = engine.log_partition(self.compile())
+        return self._logz
 
-    def log_partition_extended(
-        self, extra_terms: Sequence[tuple], backend: str = "auto"
-    ) -> float:
-        return engine.log_partition(self._extended(extra_terms), backend)
-
-    def log_expectation_exp_neg(
-        self, extra_terms: Sequence[tuple], backend: str = "auto"
-    ) -> float:
+    def log_expectation_exp_neg(self, extra_terms: Sequence[tuple]) -> float:
         """log of the Gibbs expectation of exp(-sum of the extra terms)."""
-        return self.log_partition_extended(extra_terms, backend) - self.log_partition(
-            backend
-        )
+        return engine.log_partition(self._extended(extra_terms)) - self.log_partition()
 
     def energy(self, sigma: Mapping) -> float:
         return self.compile().energy(self._digits(sigma))
@@ -178,13 +169,13 @@ class QuenchedEnsemble:
                 raise ConfigError(f"spin value {v!r} at {s} not in alphabet") from None
         return digits
 
-    def gibbs_probability(self, sigma: Mapping, backend: str = "auto") -> float:
+    def gibbs_probability(self, sigma: Mapping) -> float:
         """Probability of one full spin configuration on the region."""
-        return math.exp(-self.energy(sigma) - self.log_partition(backend))
+        return math.exp(-self.energy(sigma) - self.log_partition())
 
     # -- observables -----------------------------------------------------------
 
-    def expectation(self, obs, backend: str = "auto") -> float:
+    def expectation(self, obs) -> float:
         """Gibbs expectation of ``obs``.
 
         ``obs`` is either a :class:`ProductObservable` over site indices, a
@@ -202,7 +193,7 @@ class QuenchedEnsemble:
         if n * math.log2(q) > EXPECTATION_CAP:
             raise CapExceededError("observable enumeration", n, EXPECTATION_CAP)
         values = self.spec.spin_values
-        logz = self.log_partition(backend)
+        logz = self.log_partition()
         system = self.compile()
         total = 0.0
         for combo in product(range(q), repeat=n):

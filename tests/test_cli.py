@@ -1,17 +1,19 @@
 import json
 import math
+from itertools import combinations, product
 
 import pytest
 
 from jointgibbs.cli import main, parse_box, prune_table, table_summary
 from jointgibbs.disorder import CBAR_NOISE_FLOOR
 from jointgibbs.errors import ConfigError
-from jointgibbs.lattice import Box
+from jointgibbs.lattice import Box, SiteSet
 from jointgibbs.model import make_rfim
 from jointgibbs.potentials import (
     ConstantEntry,
     NormalizingMeasure,
     PotentialTable,
+    dilute_vacuum_coeff,
     relative_energy_table,
 )
 from jointgibbs.qkernel import QKernelContext
@@ -191,12 +193,24 @@ def test_potential_prunes_a_flat_model(tmp_path, capsys):
     assert report_from(capsys)["summary"]["entries"] == 0
 
 
-def test_potential_mc_centering_requires_seed(tmp_path):
+def test_potential_centering_removes_the_law_mean(tmp_path):
+    out = tmp_path / "run"
+    law = {-1: 0.3, 1: 0.7}
     cfg = write_config(
         tmp_path, "cfg.json",
-        {"box": "1x3", "center": True, "center_mode": "mc"},
+        {"model": {"model": "rfim", "J": 0.4, "h": 0.3, "nu": law},
+         "box": "1x3", "alpha": {"kind": "vacuum", "fill": 1}, "center": True},
     )
-    assert main(["potential", "--config", cfg]) == 2
+    assert main(["potential", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "table.json") as fp:
+        table = PotentialTable.load(fp)
+    assert len(table) > 0
+    for A, entry in table.items():
+        mean = 0.0
+        for combo in product(law, repeat=len(A)):
+            eta = dict(zip(A.sites, combo))
+            mean += math.prod(law[v] for v in combo) * entry.value(A.sites, eta)
+        assert abs(mean) <= 1e-12
 
 
 def test_prune_and_summary_helpers():
@@ -322,6 +336,24 @@ def test_dilute_coeffs_closed_forms(tmp_path, capsys):
     report = report_from(capsys)
     closed = report["summary"]["closed_forms"]
     assert closed["adjacent_pair_log_cosh_J"] == pytest.approx(math.log(math.cosh(0.8)))
+
+
+def test_dilute_coeffs_match_the_per_subset_sum(tmp_path):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "cfg.json", {"J": 0.7, "window": "2x2x3"})
+    assert main(["dilute-coeffs", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "table.json") as fp:
+        table = PotentialTable.load(fp)
+    sites = list(Box.from_shape(2, 3).sites())
+    want = {}
+    for n in range(1, len(sites) + 1):
+        for A in combinations(sites, n):
+            v = dilute_vacuum_coeff(0.7, A)
+            if abs(v) > 1e-13:
+                want[SiteSet(A).sites] = v
+    assert {A.sites for A in table.support()} == set(want)
+    for key, v in want.items():
+        assert table.value(key) == pytest.approx(v, abs=1e-12)
 
 
 def test_dilute_coeffs_window_cap(capsys):

@@ -44,6 +44,18 @@ def test_sampler_negative_index_rejected():
         sampler.sample(-1)
 
 
+def test_sampler_digit_rows_are_the_indexed_samples():
+    region = [(i,) for i in range(6)]
+    sampler = DisorderSampler({-1: 0.4, 0: 0.2, 1: 0.4}, region, seed=17)
+    rows = sampler.digits(5, 4)
+    assert rows.shape == (4, 6)
+    for i, row in enumerate(rows):
+        decoded = {s: sampler.values[int(k)] for s, k in zip(sampler.sites, row)}
+        assert decoded == sampler.sample(5 + i)
+    with pytest.raises(ConfigError):
+        sampler.digits(-1, 2)
+
+
 def test_sampler_frequencies_match_the_law():
     region = [(i,) for i in range(200)]
     sampler = DisorderSampler({0: 0.7, 1: 0.3}, region, seed=9)

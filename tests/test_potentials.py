@@ -407,29 +407,6 @@ def test_center_occupied_product_closed_form():
     assert got == pytest.approx(2.0 * (1 - 0.4) * (0 - 0.4), abs=1e-13)
 
 
-def test_center_mc_tracks_exact():
-    rng = np.random.default_rng(47)
-    table = PotentialTable()
-    vals = rng.normal(size=4)
-    table.set([(0,), (1,)], TabulatedEntry(vals, (-1, 1)))
-    law = {-1: 0.5, 1: 0.5}
-    exact = center_potential(table, law)
-    est = center_potential(table, law, mode="mc", samples=2000, seed=7)
-    assert "center_stderr" in est.meta
-    for combo in product((-1, 1), repeat=2):
-        eta = {(0,): combo[0], (1,): combo[1]}
-        a = exact.value([(0,), (1,)], eta)
-        b = est.value([(0,), (1,)], eta)
-        assert abs(a - b) < 0.2
-
-
-def test_center_mc_requires_samples_and_seed():
-    table = PotentialTable()
-    table.set([(0,)], TabulatedEntry([0.5, -0.5], (-1, 1)))
-    with pytest.raises(ConfigError):
-        center_potential(table, {-1: 0.5, 1: 0.5}, mode="mc")
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

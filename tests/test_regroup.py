@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from jointgibbs import potentials
 from jointgibbs.errors import SchemeError
 from jointgibbs.lattice import Box, SiteOrder, SiteSet
 from jointgibbs.model import make_dilute, make_rfim
@@ -335,18 +336,23 @@ def test_epsilon_diagnostic_decays_along_the_chain():
     assert all(r["n_samples"] == 400 for r in rows)
 
 
-def test_epsilon_diagnostic_volume_study():
-    ctxs = [
-        QKernelContext(make_rfim(J=0.3, h=0.5), Box.from_shape(n)) for n in (4, 6)
-    ]
-    diags = epsilon_diagnostic(ctxs, (1,), (1, 2), samples=60, seed=9)
-    assert len(diags) == 2
-    assert all(d.x == (1,) for d in diags)
-
-
 def test_epsilon_diagnostic_seed_reproducible():
     ctx = QKernelContext(make_rfim(J=0.3, h=0.5), Box.from_shape(4))
     a = epsilon_diagnostic(ctx, (1,), (1, 2), samples=80, seed=11, eta_x_value=1)
     b = epsilon_diagnostic(ctx, (1,), (1, 2), samples=80, seed=11, eta_x_value=1)
     assert a.epsilon == b.epsilon
     assert a.meta["eta_x_value"] == 1
+
+
+def test_epsilon_diagnostic_sampled_inner_tracks_exact(monkeypatch):
+    ctx = QKernelContext(make_rfim(J=0.3, h=0.5), Box.from_shape(8))
+    exact = epsilon_diagnostic(ctx, (3,), (1, 2, 3), samples=400, seed=5)
+    assert exact.meta["exact_inner"] is True
+    # at 2 bits the 2^8 codes and the far sets of radii 1 and 2 are sampled
+    monkeypatch.setattr(potentials, "EXACT_INNER_BITS", 2)
+    a = epsilon_diagnostic(ctx, (3,), (1, 2, 3), samples=400, seed=5)
+    b = epsilon_diagnostic(ctx, (3,), (1, 2, 3), samples=400, seed=5)
+    assert a.meta["exact_inner"] is False
+    assert a.epsilon == b.epsilon
+    for got, err, want in zip(a.epsilon, a.stderr, exact.epsilon):
+        assert abs(got - want) <= 4 * err

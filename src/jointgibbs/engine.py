@@ -6,9 +6,12 @@ free-site indices and carries a value table over the joint local spin states
 partition function is then a sum over all ``q^n`` configurations of
 ``exp(-E)``, always accumulated in log space.
 
-The exhaustive sweep is chunked numpy: it broadcasts term tables over blocks
+The exhaustive sweep is chunked numpy: it gathers term tables over blocks
 of configuration codes and rescales its running sums whenever a block lowers
-the minimum energy.
+the minimum energy.  Where a block reads each table depends only on the
+term sites, so a sweep that fits in one block keeps that index, and the
+transfer matrix its column plan and partial indices, for the last geometry
+it saw.
 
 The transfer matrix handles 1D chains and 2D strips (state = one column of
 spins, capped at 64 states); it is an accelerator for large boxes, never the
@@ -17,6 +20,7 @@ source of truth — cross-checks against enumeration live in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,6 +42,30 @@ HAS_NUMBA = False
 
 def numba_enabled() -> bool:
     return False
+
+
+def normalize_term(q: int, sites: Sequence[int], table) -> tuple:
+    """``(sites, table)`` with the sites ascending and the table reindexed to match.
+
+    The table becomes a flat contiguous float64 array of length
+    ``q**len(sites)``; a term without sites keeps its table, whose first
+    entry is the constant it adds.
+    """
+    table = np.asarray(table, dtype=np.float64).ravel()
+    if not sites:
+        return (), table
+    given = tuple(int(s) for s in sites)
+    sites_sorted = tuple(sorted(given))
+    if len(set(sites_sorted)) != len(sites_sorted):
+        raise ValueError(f"duplicate site in term: {sites}")
+    if table.size != q ** len(sites_sorted):
+        raise ValueError("term table size mismatch")
+    if given != sites_sorted:
+        # reindex the table to the ascending site order
+        order = sorted(range(len(given)), key=given.__getitem__)
+        src = table.reshape((q,) * len(given), order="F")
+        table = np.ascontiguousarray(src.transpose(order)).reshape(-1, order="F").copy()
+    return sites_sorted, np.ascontiguousarray(table)
 
 
 @dataclass
@@ -69,25 +97,15 @@ class CompiledSystem:
     site_coords: list | None = None
 
     def add_term(self, sites: Sequence[int], table) -> None:
-        table = np.asarray(table, dtype=np.float64).ravel()
+        self.add_normalized(*normalize_term(self.q, sites, table))
+
+    def add_normalized(self, sites: tuple, table: np.ndarray) -> None:
+        """Append a term in the form :func:`normalize_term` returns."""
         if not sites:
             self.const += float(table[0])
             return
-        order = np.argsort(np.asarray(sites, dtype=np.int64), kind="stable")
-        sites_sorted = tuple(int(sites[i]) for i in order)
-        if len(set(sites_sorted)) != len(sites_sorted):
-            raise ValueError(f"duplicate site in term: {sites}")
-        if table.size != self.q ** len(sites_sorted):
-            raise ValueError("term table size mismatch")
-        if tuple(sites) != sites_sorted:
-            # reindex the table to the ascending site order
-            k = len(sites)
-            src = table.reshape((self.q,) * k, order="F")
-            table = np.ascontiguousarray(src.transpose(tuple(order))).reshape(
-                -1, order="F"
-            ).copy()
-        self.term_sites.append(sites_sorted)
-        self.term_tables.append(np.ascontiguousarray(table))
+        self.term_sites.append(sites)
+        self.term_tables.append(table)
 
     @property
     def n_configs(self) -> int:
@@ -141,22 +159,50 @@ class ProductObservable:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_energies(system: CompiledSystem, codes: np.ndarray) -> np.ndarray:
-    q = system.q
-    e = np.full(codes.shape, system.const, dtype=np.float64)
-    digit_cache: dict = {}
-    for sites, tab in zip(system.term_sites, system.term_tables):
-        idx = np.zeros(codes.shape, dtype=np.int64)
+def _term_codes(q: int, term_sites: tuple, start: int, stop: int):
+    """Yield, per term, where configurations ``start..stop`` read the term tables.
+
+    Positions are into the concatenation of all term tables: the term's
+    offset in it plus its local code.
+    """
+    codes = np.arange(start, stop, dtype=np.int64)
+    digits: dict = {}
+    offset = 0
+    for sites in term_sites:
+        idx = np.full(codes.shape, offset, dtype=np.int64)
         stride = 1
         for s in sites:
-            d = digit_cache.get(s)
+            d = digits.get(s)
             if d is None:
-                d = (codes // q**s) % q
-                digit_cache[s] = d
+                d = digits[s] = (codes // q**s) % q
             idx += d * stride
             stride *= q
-        e += tab[idx]
-    return e
+        yield idx
+        offset += stride
+
+
+# geometry and index of the last single-chunk sweep: every sweep of one
+# context has the same terms, and one slot bounds what the process keeps
+_last_index: list = [None, None]
+
+
+def _sweep_index(q: int, n: int, term_sites: tuple) -> np.ndarray:
+    """The rows of :func:`_term_codes` over all ``q**n`` configurations.
+
+    One read-only (terms, configurations) array, rebuilt only when the
+    geometry differs from the last call's.
+    """
+    geometry = (q, n, term_sites)
+    if _last_index[0] != geometry:
+        _last_index[:] = [None, None]  # free the old index before building
+        # intp, not int32: numpy casts any other index dtype on every
+        # gather, which doubled the sweep's gather time
+        index = np.empty((len(term_sites), q**n), dtype=np.intp)
+        for row, idx in zip(index, _term_codes(q, term_sites, 0, q**n)):
+            row[:] = idx
+        index.flags.writeable = False
+        _last_index[:] = [geometry, index]
+    return _last_index[1]
 
 
 def sweep(
@@ -179,9 +225,18 @@ def sweep(
     ref = math.inf  # running minimum energy (log-sum-exp reference)
     sz = 0.0
     sf = np.zeros(len(observables), dtype=np.float64)
+    term_sites = tuple(system.term_sites)
+    tables = np.concatenate(system.term_tables) if term_sites else np.empty(0)
     for start in range(0, total, _NUMPY_CHUNK):
-        codes = np.arange(start, min(start + _NUMPY_CHUNK, total), dtype=np.int64)
-        e = _chunk_energies(system, codes)
+        stop = min(start + _NUMPY_CHUNK, total)
+        # const first, then the terms in order: the same sums as term by term
+        e = np.full(stop - start, system.const)
+        if total <= _NUMPY_CHUNK:
+            index = _sweep_index(q, n, term_sites)
+        else:
+            index = _term_codes(q, term_sites, start, stop)
+        for idx in index:
+            e += tables[idx]
         m = float(e.min())
         if m < ref:
             scale = math.exp(m - ref) if math.isfinite(ref) else 0.0
@@ -190,6 +245,8 @@ def sweep(
             ref = m
         w = np.exp(ref - e)
         sz += float(w.sum())
+        if observables:
+            codes = np.arange(start, stop, dtype=np.int64)
         for k, obs in enumerate(observables):
             f = np.ones(codes.shape, dtype=np.float64)
             for s, vals in zip(obs.sites, obs.values):
@@ -208,11 +265,10 @@ def log_partition_enumerate(system: CompiledSystem, cap: int = ENUMERATION_CAP) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferPlan:
     axis: int
-    columns: list  # per column: list of free-site indices (ascending)
-    col_of_site: dict
+    columns: tuple  # per column: tuple of free-site indices (ascending)
 
 
 def plan_transfer(system: CompiledSystem, state_cap: int = TM_STATE_CAP):
@@ -225,6 +281,13 @@ def plan_transfer(system: CompiledSystem, state_cap: int = TM_STATE_CAP):
     coords = system.site_coords
     if coords is None or system.n_sites == 0:
         return None
+    return _plan(
+        system.q, tuple(map(tuple, coords)), tuple(system.term_sites), state_cap
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _plan(q: int, coords: tuple, term_sites: tuple, state_cap: int):
     d = len(coords[0])
     for axis in range(d):
         vals = sorted({c[axis] for c in coords})
@@ -233,19 +296,55 @@ def plan_transfer(system: CompiledSystem, state_cap: int = TM_STATE_CAP):
         rank = {v: i for i, v in enumerate(vals)}
         col_of = {i: rank[c[axis]] for i, c in enumerate(coords)}
         cols: list = [[] for _ in vals]
-        for i in range(system.n_sites):
+        for i in range(len(coords)):
             cols[col_of[i]].append(i)
-        if any(system.q ** len(c) > state_cap for c in cols):
+        if any(q ** len(c) > state_cap for c in cols):
             continue
         ok = True
-        for sites in system.term_sites:
+        for sites in term_sites:
             touched = sorted({col_of[s] for s in sites})
             if len(touched) > 2 or (len(touched) == 2 and touched[1] - touched[0] != 1):
                 ok = False
                 break
         if ok:
-            return TransferPlan(axis, cols, col_of)
+            return TransferPlan(axis, tuple(tuple(c) for c in cols))
     return None
+
+
+@functools.lru_cache(maxsize=1)
+def _transfer_index(q: int, columns: tuple, term_sites: tuple) -> tuple:
+    """Per term, where a transfer sweep reads its table.
+
+    Each entry is ``(column, ia, ib)``.  A term inside one column reads its
+    table at ``ia`` over that column's states, and ``ib`` is None.  A term
+    across columns ``column - 1`` and ``column`` reads it at
+    ``ia[:, None] + ib[None, :]``.
+    """
+    pos_in_col = {}
+    for c, sites in enumerate(columns):
+        for j, s in enumerate(sites):
+            pos_in_col[s] = (c, j)
+
+    def partial_index(c, sites):
+        # local term index contributed by column c's digits
+        codes = np.arange(q ** len(columns[c]), dtype=np.int64)
+        idx = np.zeros(codes.shape, dtype=np.int64)
+        for k, s in enumerate(sites):
+            col, j = pos_in_col[s]
+            if col == c:
+                idx += ((codes // q**j) % q) * q**k
+        idx.flags.writeable = False
+        return idx
+
+    parts = []
+    for sites in term_sites:
+        touched = sorted({pos_in_col[s][0] for s in sites})
+        if len(touched) == 1:
+            parts.append((touched[0], partial_index(touched[0], sites), None))
+        else:
+            c0, c1 = touched
+            parts.append((c1, partial_index(c0, sites), partial_index(c1, sites)))
+    return tuple(parts)
 
 
 def log_partition_transfer(system: CompiledSystem, plan: TransferPlan) -> float:
@@ -253,38 +352,18 @@ def log_partition_transfer(system: CompiledSystem, plan: TransferPlan) -> float:
     q = system.q
     cols = plan.columns
     ncol = len(cols)
-    pos_in_col = {}
-    for c, sites in enumerate(cols):
-        for j, s in enumerate(sites):
-            pos_in_col[s] = (c, j)
 
     # split terms into intra-column and between adjacent columns
     intra: list = [np.zeros(q ** len(c)) for c in cols]
     inter: list = [None] * ncol  # inter[c] couples columns c-1 -> c
     for c in range(1, ncol):
         inter[c] = np.zeros((q ** len(cols[c - 1]), q ** len(cols[c])))
-
-    def partial_index(codes, col_sites, term_sites):
-        # local term index contributed by this column's digits
-        idx = np.zeros(codes.shape, dtype=np.int64)
-        for k, s in enumerate(term_sites):
-            if s in col_sites:
-                j = col_sites.index(s)
-                idx += ((codes // q**j) % q) * q**k
-        return idx
-
-    state_codes = [np.arange(q ** len(c), dtype=np.int64) for c in cols]
-    for sites, tab in zip(system.term_sites, system.term_tables):
-        touched = sorted({pos_in_col[s][0] for s in sites})
-        if len(touched) == 1:
-            c = touched[0]
-            idx = partial_index(state_codes[c], cols[c], sites)
-            intra[c] += tab[idx]
+    parts = _transfer_index(q, cols, tuple(system.term_sites))
+    for (c, ia, ib), tab in zip(parts, system.term_tables):
+        if ib is None:
+            intra[c] += tab[ia]
         else:
-            c0, c1 = touched
-            ia = partial_index(state_codes[c0], cols[c0], sites)
-            ib = partial_index(state_codes[c1], cols[c1], sites)
-            inter[c1] += tab[ia[:, None] + ib[None, :]]
+            inter[c] += tab[ia[:, None] + ib[None, :]]
 
     log_scale = 0.0
     shift = float(intra[0].min())

@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .lattice import (
 from .model import make_dilute
 from .qkernel import QKernelContext
 from .quenched import QuenchedEnsemble
-from .stats import DEFAULT_BATCHES, EstimatedValue, batch_means
+from .stats import DEFAULT_BATCHES, batch_means
 
 EXACT_INTEGRATION_CAP_BITS = 20
 TABULATION_CAP_BITS = 22

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import CapExceededError, ConfigError
-from .lattice import Box, SiteSet, as_site
+from .lattice import Box, SiteSet
 from .model import BoundaryCondition, ModelSpec
 from .quenched import QuenchedEnsemble
 
@@ -70,6 +70,7 @@ class QKernelContext:
         self._domain_index = {s: i for i, s in enumerate(self.eta_domain)}
         self._logz: dict = {}
         self._mean_logz: dict = {}
+        self._term_tables: dict = {}
 
     # -- plumbing --------------------------------------------------------------
 
@@ -88,6 +89,7 @@ class QKernelContext:
             self.bc,
             _terms=self.term_sets,
             _frozen=self.frozen_sigma,
+            _tables=self._term_tables,
         )
 
     def log_partition_at(self, eta: Mapping) -> float:
@@ -99,9 +101,10 @@ class QKernelContext:
         return hit
 
     def _merge(self, V: SiteSet, eta_V: Mapping, eta_rest: Mapping) -> dict:
+        window = frozenset(V.sites)
         out = {}
         for s in self.eta_domain:
-            if s in V:
+            if s in window:
                 out[s] = eta_V[s]
             elif s in eta_rest:
                 out[s] = eta_rest[s]

@@ -49,6 +49,7 @@ class QuenchedEnsemble:
         bc: BoundaryCondition | None = None,
         _terms: list | None = None,
         _frozen: dict | None = None,
+        _tables: dict | None = None,
     ):
         self.spec = spec
         self.bc = bc if bc is not None else BoundaryCondition.free()
@@ -91,6 +92,10 @@ class QuenchedEnsemble:
         if missing:
             raise ConfigError(f"disorder not assigned on sites {missing}")
 
+        # term tables shared by every ensemble of one context, keyed by the
+        # term and its local disorder; valid only while the free sites and
+        # frozen spins are the context's (so never for conditional())
+        self._tables = _tables
         self._system: CompiledSystem | None = None
         self._logz: float | None = None
 
@@ -106,10 +111,25 @@ class QuenchedEnsemble:
                 len(self.free_sites), self.q, site_coords=list(self.free_sites)
             )
             for A in self.term_sets:
-                idx, table = self._term_table(A, None)
-                sys_.add_term(idx, table)
+                sys_.add_normalized(*self._local_table(A))
             self._system = sys_
         return self._system
+
+    def _local_table(self, A: SiteSet) -> tuple:
+        """The normalized table of the term on ``A``, from the memo if shared.
+
+        A term on ``A`` reads spins and disorder on ``A`` only, so its table
+        is fixed by ``A`` and the disorder there.  Memo entries are read-only.
+        """
+        if self._tables is None:
+            return engine.normalize_term(self.q, *self._term_table(A, None))
+        key = (A.sites, tuple(self.eta[s] for s in A.sites))
+        hit = self._tables.get(key)
+        if hit is None:
+            hit = engine.normalize_term(self.q, *self._term_table(A, None))
+            hit[1].flags.writeable = False
+            self._tables[key] = hit
+        return hit
 
     def _term_table(self, A: SiteSet, fn: Callable | None):
         """Local energy table of one interaction set over its free digits."""

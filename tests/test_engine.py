@@ -82,6 +82,26 @@ def test_numpy_sweep_rescales_across_chunks(monkeypatch):
     assert means == pytest.approx(ref_means, abs=1e-11)
 
 
+def test_sweep_index_is_kept_for_one_single_chunk_geometry(monkeypatch):
+    monkeypatch.setattr(engine, "_last_index", [None, None])
+    rng = np.random.default_rng(7)
+    a = random_system(rng, n=10, n_terms=12)
+    b = CompiledSystem(10, 2)  # the same geometry with other tables
+    for sites, tab in zip(a.term_sites, a.term_tables):
+        b.add_term(sites, rng.normal(size=tab.size))
+    assert sweep(a)[0] == pytest.approx(brute_sweep(a)[0], abs=1e-11)
+    index = engine._last_index[1]
+    assert sweep(b)[0] == pytest.approx(brute_sweep(b)[0], abs=1e-11)
+    assert engine._last_index[1] is index
+    with pytest.raises(ValueError):
+        index[0, 0] = 0
+    # a sweep over several chunks builds its index per chunk and keeps none
+    monkeypatch.setattr(engine, "_NUMPY_CHUNK", 128)
+    engine._last_index[:] = [None, None]
+    assert sweep(b)[0] == pytest.approx(brute_sweep(b)[0], abs=1e-11)
+    assert engine._last_index == [None, None]
+
+
 def test_add_term_reorders_sites():
     # the same physical term entered with sites ascending and descending
     rng = np.random.default_rng(3)
@@ -101,11 +121,11 @@ def test_add_term_reorders_sites():
         assert a.energy(d) == pytest.approx(b.energy(d), abs=1e-14)
 
 
-def chain_system(n, J=0.45, h=0.2, rng=None):
+def chain_system(n, J=0.45, h=0.2, rng=None, bonds=True):
     coords = [(i,) for i in range(n)]
     sys_ = CompiledSystem(n, 2, site_coords=coords)
     spin = np.array([-1.0, 1.0])
-    for i in range(n - 1):
+    for i in range(n - 1 if bonds else 0):
         j = J if rng is None else float(rng.normal(J, 0.2))
         tab = np.array([-j * spin[a] * spin[b] for b in (0, 1) for a in (0, 1)])
         sys_.add_term([i, i + 1], tab)
@@ -118,12 +138,15 @@ def chain_system(n, J=0.45, h=0.2, rng=None):
 def test_transfer_matrix_matches_enumeration_chains():
     rng = np.random.default_rng(4)
     for n in (2, 5, 9, 14):
-        sys_ = chain_system(n, rng=rng)
-        plan = plan_transfer(sys_)
-        assert plan is not None
-        tm = log_partition_transfer(sys_, plan)
-        ref = log_partition_enumerate(sys_)
-        assert tm == pytest.approx(ref, rel=1e-10)
+        # two systems of one geometry, then other terms on the same columns:
+        # the transfer index kept from the previous system must not leak
+        for bonds in (True, True, False):
+            sys_ = chain_system(n, rng=rng, bonds=bonds)
+            plan = plan_transfer(sys_)
+            assert plan is not None
+            tm = log_partition_transfer(sys_, plan)
+            ref = log_partition_enumerate(sys_)
+            assert tm == pytest.approx(ref, rel=1e-10)
 
 
 def test_transfer_matrix_matches_enumeration_strip():

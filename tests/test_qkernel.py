@@ -14,6 +14,7 @@ from jointgibbs.model import (
     make_rfim,
 )
 from jointgibbs.qkernel import QKernelContext
+from jointgibbs.quenched import QuenchedEnsemble
 
 import oracles
 
@@ -318,3 +319,38 @@ def test_joint_conditional_window_cap():
     ctx = QKernelContext(spec, box)
     with pytest.raises(CapExceededError):
         ctx.joint_conditional(box.sites(), {}, {})
+
+
+@pytest.mark.parametrize("bc", [None, BoundaryCondition.fixed(fill=1)], ids=["free", "fixed"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        make_rfim(J=0.5, h=0.3),
+        make_random_bond([[0.1, 0.9], [0.5]], d=2),
+        make_dilute(J=0.8, p=0.4),
+    ],
+    ids=["rfim", "random_bond", "dilute"],
+)
+def test_term_memo_gives_the_fresh_ensemble_bits(spec, bc):
+    # a warm context compiles each term from tables filled at other codes;
+    # its log Z must be the one an ensemble built without the context gets
+    box = Box.from_shape(3, 2)
+    ctx = QKernelContext(spec, box, bc)
+    rng = np.random.default_rng(41)
+    values = spec.disorder_values
+    for _ in range(12):
+        ctx.log_partition_at(rand_eta(rng, ctx.eta_domain, values))
+    assert ctx._term_tables
+    for _ in range(8):
+        eta = rand_eta(rng, ctx.eta_domain, values)
+        fresh = QuenchedEnsemble(spec, box, eta, bc)
+        assert ctx.log_partition_at(eta) == fresh.log_partition()
+        # conditionals freeze other spins, so they must compile their own terms
+        sub = [(0, 0), (1, 0)]
+        for fill in spec.spin_values:
+            sigma_out = {s: fill for s in box.sites()}
+            got = ctx.ensemble(eta).conditional(sub, sigma_out).log_partition()
+            assert got == fresh.conditional(sub, sigma_out).log_partition()
+    for sites, table in ctx._term_tables.values():
+        with pytest.raises(ValueError):
+            table[0] = 0.0

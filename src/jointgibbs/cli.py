@@ -32,9 +32,7 @@ from .model import BoundaryCondition, load_model, make_rfim
 from .potentials import (
     ConstantEntry,
     NormalizingMeasure,
-    OccupiedProductEntry,
     PotentialTable,
-    TabulatedEntry,
     center_potential,
     check_alpha_normalization,
     check_martingale,
@@ -216,11 +214,7 @@ def emit(cfg: dict, command: str, artifacts: dict, report: dict) -> None:
 def _entry_max_abs(entry) -> float:
     if isinstance(entry, ConstantEntry):
         return abs(entry.v)
-    if isinstance(entry, TabulatedEntry):
-        return float(np.abs(entry.values).max())
-    if isinstance(entry, OccupiedProductEntry):
-        return abs(entry.coeff)
-    return math.inf
+    return float(np.abs(entry.values).max())
 
 
 def prune_table(table: PotentialTable, threshold: float = 0.0) -> PotentialTable:

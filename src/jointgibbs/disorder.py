@@ -76,6 +76,15 @@ class DisorderSampler:
 # ---------------------------------------------------------------------------
 
 
+def _flip_covariance(lq_xy, lq_x, lq_y):
+    """``q_x q_y (exp(b) - 1)`` with ``b = lq_xy - lq_x - lq_y``, elementwise.
+
+    A zero bracket gives exactly zero, and a small covariance is not the
+    difference of two numbers near 1.
+    """
+    return np.exp(lq_x + lq_y) * np.expm1(lq_xy - lq_x - lq_y)
+
+
 def c_xy(ctx: QKernelContext, x, y, eta_x, eta_y, eta_tilde: Mapping) -> float:
     """Covariance-type defect of two single-site disorder flips.
 
@@ -86,8 +95,7 @@ def c_xy(ctx: QKernelContext, x, y, eta_x, eta_y, eta_tilde: Mapping) -> float:
     cached partition functions.
 
     Evaluated as ``q_x q_y (exp(b) - 1)`` with ``b`` the pair-flip bracket
-    (see ``potentials.pair_flip_bracket``), so a zero bracket gives exactly
-    zero and a small covariance is not the difference of two numbers near 1.
+    (see ``potentials.pair_flip_bracket``).
     """
     x, y = as_site(x), as_site(y)
     pair = SiteSet([x, y])
@@ -97,7 +105,7 @@ def c_xy(ctx: QKernelContext, x, y, eta_x, eta_y, eta_tilde: Mapping) -> float:
     lq_xy = ctx.log_q(pair, {x: eta_x, y: eta_y}, base, eta_tilde)
     lq_x = ctx.log_q(pair, {x: eta_x, y: base[y]}, base, eta_tilde)
     lq_y = ctx.log_q(pair, {x: base[x], y: eta_y}, base, eta_tilde)
-    return math.exp(lq_x + lq_y) * math.expm1(lq_xy - lq_x - lq_y)
+    return float(_flip_covariance(lq_xy, lq_x, lq_y))
 
 
 @dataclass
@@ -165,14 +173,28 @@ def cbar(
         raise ConfigError(
             f"insufficient samples: {samples} < {2 * batches} (2 per batch)"
         )
-    sampler = DisorderSampler(ctx.spec.nu, ctx.eta_domain, seed)
-    values = ctx.spec.disorder_values
     x, y = representative_pair(ctx.box, m, axis)
-    series = {(vx, vy): np.zeros(samples) for vx in values for vy in values}
-    for i in range(samples):
-        tilde = sampler.sample(i)
-        for (vx, vy), arr in series.items():
-            arr[i] = c_xy(ctx, x, y, vx, vy, tilde)
+    values = ctx.spec.disorder_values
+    sampler = DisorderSampler(ctx.spec.nu, ctx.eta_domain, seed)
+    to_alphabet = np.array([values.index(v) for v in sampler.values], dtype=np.int64)
+    # an extra zero column of stride 0 stands in for a site no term reads
+    rows = np.pad(to_alphabet[sampler.digits(0, samples)], ((0, 0), (0, 1)))
+    strides = np.append(ctx.strides(), 0)
+    px, py = (ctx.eta_domain.index(s) if s in ctx.eta_domain else -1 for s in (x, y))
+    dx, dy = rows[:, px], rows[:, py]
+    base = rows @ strides - dx * strides[px] - dy * strides[py]
+    # log Z with the pair set to every (vx, vy); the sample's own value at x
+    # or y is one of them, so the unflipped and single-flip terms are gathers
+    flips = np.arange(len(values), dtype=np.int64)
+    logz = ctx.logz(base + flips[:, None, None] * strides[px] + flips[None, :, None] * strides[py])
+    col = np.arange(samples)
+    tilde = logz[dx, dy, col]
+    series = {}
+    for i, vx in enumerate(values):
+        lq_x = logz[i, dy, col] - tilde
+        for j, vy in enumerate(values):
+            lq_y = logz[dx, j, col] - tilde
+            series[(vx, vy)] = _flip_covariance(logz[i, j] - tilde, lq_x, lq_y)
     breakdown = {}
     top = None
     for key, arr in series.items():

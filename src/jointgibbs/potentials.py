@@ -10,14 +10,14 @@ law of the joint measure.  Resummation schemes regroup the potential into
 cells along a site order, and a shell diagnostic estimates how fast the
 single-site averaged log-ratio localizes.
 
-Everything here is finite-volume and either exact (exhaustive disorder
-integration, capped) or Monte Carlo with seeded, paired sampling and
+Everything here is finite-volume.  Relative energies, tables and identity
+checks integrate the disorder exactly (exhaustively, under a cap); only the
+truncation diagnostic samples, from the package's one disorder stream, with
 batch-means error bars.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -64,8 +64,7 @@ class NormalizingMeasure:
 
     kind: str  # "product" | "point"
     nu: tuple | None = None  # ((value, weight), ...) for product
-    vacuum_map: tuple | None = None  # ((site, value), ...) for point
-    vacuum_fill: object = None
+    vacuum_fill: object = None  # the vacuum value at every site, for point
 
     @classmethod
     def product(cls, nu: Mapping | None = None) -> "NormalizingMeasure":
@@ -78,15 +77,11 @@ class NormalizingMeasure:
         return cls("product", nu=law)
 
     @classmethod
-    def point_mass(cls, vacuum=None, *, fill=None) -> "NormalizingMeasure":
-        if vacuum is None and fill is None:
-            raise ConfigError("point mass needs a vacuum configuration or fill value")
-        vm = None
-        if vacuum is not None and isinstance(vacuum, Mapping):
-            vm = tuple(sorted((as_site(k), v) for k, v in vacuum.items()))
-        elif vacuum is not None:
-            fill = vacuum
-        return cls("point", vacuum_map=vm, vacuum_fill=fill)
+    def point_mass(cls, fill) -> "NormalizingMeasure":
+        """Point mass at the configuration equal to ``fill`` at every site."""
+        if fill is None:
+            raise ConfigError("point mass needs a fill value")
+        return cls("point", vacuum_fill=fill)
 
     @property
     def is_product(self) -> bool:
@@ -103,13 +98,7 @@ class NormalizingMeasure:
     def vacuum_at(self, site) -> object:
         if self.is_product:
             raise ConfigError("product measure has no vacuum")
-        if self.vacuum_map is not None:
-            for s, v in self.vacuum_map:
-                if s == site:
-                    return v
-        if self.vacuum_fill is not None:
-            return self.vacuum_fill
-        raise ConfigError(f"vacuum value missing at {site}")
+        return self.vacuum_fill
 
     def vacuum_on(self, sites) -> dict:
         return {s: self.vacuum_at(s) for s in sites}
@@ -117,9 +106,7 @@ class NormalizingMeasure:
     def tag(self) -> str:
         if self.is_product:
             return "product"
-        if self.vacuum_fill is not None and self.vacuum_map is None:
-            return f"vacuum:{self.vacuum_fill}"
-        return "vacuum:map"
+        return f"vacuum:{self.vacuum_fill}"
 
 
 def _law_items(law: Mapping) -> list:
@@ -172,17 +159,13 @@ def relative_energy(
     eta_V: Mapping,
     alpha: NormalizingMeasure,
     *,
-    mode: str = "exact",
-    samples: int | None = None,
-    seed: int | None = None,
-    batches: int = DEFAULT_BATCHES,
     cap_bits: int = EXACT_INTEGRATION_CAP_BITS,
-):
+) -> float:
     """Averaged log-ratio of partition functions for a disorder patch.
 
     Against a product law this integrates the reference configuration out
-    exactly (capped) or by paired Monte Carlo (``mode='mc'``); against a
-    point mass it is a single log-ratio.
+    exactly, refusing domains above ``cap_bits``; against a point mass it is
+    a single log-ratio.
     """
     Vset = V if isinstance(V, SiteSet) else SiteSet(V)
     if len(Vset) == 0:
@@ -199,34 +182,18 @@ def relative_energy(
 
     law = alpha.law(ctx.spec)
     rest = [s for s in ctx.eta_domain if s not in Vset]
-    if mode == "exact":
-        if _integration_bits(len(ctx.eta_domain), law) > cap_bits:
-            raise CapExceededError(
-                "exact disorder integration",
-                math.ceil(_integration_bits(len(ctx.eta_domain), law)),
-                cap_bits,
-            )
-        acc = 0.0
-        for assign, w in _product_assignments(rest, law):
-            for s in Vset:
-                assign[s] = eta_V[s]
-            acc += w * ctx.log_partition_at(assign)
-        return acc - _mean_log_partition(ctx, law)
-    if mode == "mc":
-        if samples is None or seed is None:
-            raise ConfigError("MC mode needs samples and seed")
-        sampler = DisorderSampler(law, ctx.eta_domain, seed)
-        out = np.zeros(samples)
-        for i, row in enumerate(sampler.digits(0, samples)):
-            tilde = {s: sampler.values[int(k)] for s, k in zip(sampler.sites, row)}
-            base = ctx.log_partition_at(tilde)
-            mixed = dict(tilde)
-            for s in Vset:
-                mixed[s] = eta_V[s]
-            out[i] = ctx.log_partition_at(mixed) - base
-        est = batch_means(out, batches)
-        return est
-    raise ConfigError(f"unknown mode {mode!r}")
+    if _integration_bits(len(ctx.eta_domain), law) > cap_bits:
+        raise CapExceededError(
+            "exact disorder integration",
+            math.ceil(_integration_bits(len(ctx.eta_domain), law)),
+            cap_bits,
+        )
+    acc = 0.0
+    for assign, w in _product_assignments(rest, law):
+        for s in Vset:
+            assign[s] = eta_V[s]
+        acc += w * ctx.log_partition_at(assign)
+    return acc - _mean_log_partition(ctx, law)
 
 
 # ---------------------------------------------------------------------------
@@ -277,49 +244,20 @@ class TabulatedEntry:
         return {"values": self.values.tolist(), "alphabet": list(self.alphabet)}
 
 
-class OccupiedProductEntry:
-    """coeff times a product of occupations (optionally centered at p)."""
-
-    __slots__ = ("coeff", "center")
-
-    def __init__(self, coeff: float, center: float | None = None):
-        self.coeff = float(coeff)
-        self.center = None if center is None else float(center)
-
-    def value(self, sites, eta=None) -> float:
-        if eta is None:
-            raise ConfigError("entry is disorder-dependent; no eta given")
-        out = self.coeff
-        c = self.center or 0.0
-        for s in sites:
-            out *= eta[s] - c
-        return out
-
-    def to_json(self) -> dict:
-        form = {"kind": "occupied_product", "coeff": self.coeff}
-        if self.center is not None:
-            form["center"] = self.center
-        return {"coeff_form": form}
-
-
 def _entry_from_json(blob: dict):
     if "value" in blob:
         return ConstantEntry(blob["value"])
     if "values" in blob:
         alphabet = [v if not isinstance(v, list) else tuple(v) for v in blob["alphabet"]]
         return TabulatedEntry(blob["values"], alphabet)
-    if "coeff_form" in blob:
-        form = blob["coeff_form"]
-        if form.get("kind") == "occupied_product":
-            return OccupiedProductEntry(form["coeff"], form.get("center"))
     raise ConfigError(f"unknown potential entry {blob!r}")
 
 
 class PotentialTable:
     """Finite-support potential on subsets of a window.
 
-    Entries are constants, per-pattern tables, or symbolic coefficient
-    forms; :meth:`value` evaluates any of them at a disorder configuration.
+    Entries are constants or per-pattern tables; :meth:`value` evaluates
+    either at a disorder configuration.
     """
 
     def __init__(self, window=None, alpha: str = "", meta: dict | None = None):
@@ -342,7 +280,7 @@ class PotentialTable:
             missing = [s for s in key if s not in set(self.window_sites)]
             if missing:
                 raise WindowMismatchError(f"sites {missing} outside the window")
-        if not isinstance(entry, (ConstantEntry, TabulatedEntry, OccupiedProductEntry)):
+        if not isinstance(entry, (ConstantEntry, TabulatedEntry)):
             entry = ConstantEntry(float(entry))
         self._entries[key] = entry
 
@@ -664,12 +602,14 @@ def reconstruct_conditional(
         if s not in sigma_rest:
             raise ConfigError(f"conditioning spin missing at {s}")
         sigma_full[s] = sigma_rest[s]
+    patches = list(product(ctx.spec.disorder_values, repeat=len(sites)))
+    codes = ctx.patch_codes(Vset, [dict(zip(sites, e)) for e in patches], eta_rest)
+    merged = [ctx.eta_of(c) for c in codes]
     logw = {}
     for spins in product(ctx.spec.spin_values, repeat=len(sites)):
         for s, v in zip(sites, spins):
             sigma_full[s] = v
-        for etas in product(ctx.spec.disorder_values, repeat=len(sites)):
-            eta_full = ctx._merge(Vset, dict(zip(sites, etas)), eta_rest)
+        for etas, eta_full in zip(patches, merged):
             if annealed is None:
                 num = ctx.annealed_log_weight(Vset, sigma_full, eta_full)
             else:
@@ -702,8 +642,7 @@ def center_potential(table: PotentialTable, law: Mapping) -> PotentialTable:
     """Subtract from every entry its product-law average over the entry sites.
 
     The average enumerates the disorder patterns of each entry exactly; the
-    centered entry is tabulated over those same patterns.  Symbolic
-    occupied-product entries center in closed form.
+    centered entry is tabulated over those same patterns.
     """
     out = PotentialTable(
         table.window_box or table.window_sites, alpha=table.alpha, meta=dict(table.meta)
@@ -714,10 +653,6 @@ def center_potential(table: PotentialTable, law: Mapping) -> PotentialTable:
         key = A.sites
         if isinstance(entry, ConstantEntry):
             out.set(key, ConstantEntry(0.0))
-            continue
-        if isinstance(entry, OccupiedProductEntry) and entry.center is None:
-            p = dict(items).get(1, 0.0)
-            out.set(key, OccupiedProductEntry(entry.coeff, center=p))
             continue
         mean = 0.0
         for assign, w in _product_assignments(key, law):
@@ -766,10 +701,9 @@ def check_alpha_normalization(
                         acc += w * entry.value(key, patch)
                     worst = max(worst, abs(acc))
         else:
-            alphabet = entry.alphabet if isinstance(entry, TabulatedEntry) else (0, 1)
             for x in key:
                 others = [s for s in key if s != x]
-                for combo in product(alphabet, repeat=len(others)):
+                for combo in product(entry.alphabet, repeat=len(others)):
                     patch = dict(zip(others, combo))
                     patch[x] = alpha.vacuum_at(x)
                     worst = max(worst, abs(entry.value(key, patch)))
@@ -1164,12 +1098,6 @@ class ConvergenceDiagnostic:
             for r, e, s in zip(self.radii, self.epsilon, self.stderr)
         ]
 
-    def write_csv(self, fp) -> None:
-        writer = csv.DictWriter(fp, fieldnames=["r", "epsilon", "stderr", "n_samples"])
-        writer.writeheader()
-        for row in self.rows():
-            writer.writerow(row)
-
 
 # inner averages enumerate the free disorder patterns up to this many bits
 EXACT_INNER_BITS = 14
@@ -1200,57 +1128,37 @@ def epsilon_diagnostic(
     x = as_site(x)
     law = (alpha or NormalizingMeasure.product()).law(ctx.spec)
     sampler = DisorderSampler(law, ctx.eta_domain, seed)
-    domain = sampler.sites
-    n = len(domain)
-    pos = {s: i for i, s in enumerate(domain)}
+    n = len(ctx.eta_domain)
+    pos = {s: i for i, s in enumerate(ctx.eta_domain)}
     if x not in pos:
         raise ValueError(f"site {x} carries no disorder in this context")
-    values = sampler.values
     probs = sampler.probs
-    k = len(values)
+    k = len(sampler.values)
     exact_inner = k**n <= 1 << EXACT_INNER_BITS
-    if exact_inner:
-        logz_table = np.empty(k**n)
-        for code in range(k**n):
-            assign = {}
-            c = code
-            for s in domain:
-                assign[s] = values[c % k]
-                c //= k
-            logz_table[code] = ctx.log_partition_at(assign)
-        lookup = lambda codes: logz_table[codes]
+    # sampler digits index the law's support; codes index the alphabet
+    alphabet = ctx.spec.disorder_values
+    to_alphabet = np.array([alphabet.index(v) for v in sampler.values], dtype=np.int64)
+    # a small domain reads every code once; a larger one reads what it uses
+    if ctx.n_codes <= 1 << EXACT_INNER_BITS:
+        lookup = ctx.logz(np.arange(ctx.n_codes)).__getitem__
     else:
-        memo: dict = {}
+        lookup = ctx.logz
 
-        def lookup(codes):
-            flat = np.atleast_1d(codes).ravel()
-            out = np.empty(flat.shape)
-            for i, code in enumerate(flat):
-                v = memo.get(int(code))
-                if v is None:
-                    assign = {}
-                    c = int(code)
-                    for s in domain:
-                        assign[s] = values[c % k]
-                        c //= k
-                    v = ctx.log_partition_at(assign)
-                    memo[int(code)] = v
-                out[i] = v
-            return out.reshape(np.shape(codes))
-
-    strides = np.array([k**i for i in range(n)], dtype=np.int64)
-    outer = sampler.digits(0, samples)
+    strides = ctx.strides()
+    x_stride = strides[pos[x]]
+    outer = to_alphabet[sampler.digits(0, samples)]
     if eta_x_value is not None:
-        outer[:, pos[x]] = values.index(eta_x_value)
+        outer[:, pos[x]] = alphabet.index(eta_x_value)
     outer_codes = outer @ strides
+    x_term = outer[:, pos[x]] * x_stride
     # reference draws, shared by every radius whose inner average is sampled
-    ref = None if exact_inner else sampler.digits(samples, max(256, samples // 4))
+    ref = None if exact_inner else to_alphabet[sampler.digits(samples, max(256, samples // 4))]
 
     # the full (untruncated) inner average: flip only the site itself
-    base_wo_x = outer_codes - outer[:, pos[x]] * strides[pos[x]]
+    base_wo_x = outer_codes - x_term
     full = lookup(outer_codes).astype(np.float64)
     for j in range(k):
-        full -= probs[j] * lookup(base_wo_x + j * strides[pos[x]])
+        full -= probs[j] * lookup(base_wo_x + to_alphabet[j] * x_stride)
 
     def inner_patterns(free_idx):
         """Exact: all patterns and weights on the free positions."""
@@ -1259,13 +1167,12 @@ def epsilon_diagnostic(
         weights = np.ones(k**f)
         for pi, i in enumerate(free_idx):
             digit = (np.arange(k**f, dtype=np.int64) // k**pi) % k
-            codes += digit * strides[i]
+            codes += to_alphabet[digit] * strides[i]
             weights *= probs[digit]
         return codes, weights
 
     eps = []
     errs = []
-    x_term = outer[:, pos[x]] * strides[pos[x]]
     for r in radii:
         near = [i for s, i in pos.items() if s != x and linf_dist(s, x) <= r]
         far = [i for s, i in pos.items() if s != x and linf_dist(s, x) > r]
@@ -1282,7 +1189,7 @@ def epsilon_diagnostic(
             top = lookup(base_kept + x_term + far_codes[fj])
             bot = np.zeros(samples)
             for j in range(k):
-                bot += probs[j] * lookup(base_kept + far_codes[fj] + j * strides[pos[x]])
+                bot += probs[j] * lookup(base_kept + far_codes[fj] + to_alphabet[j] * x_stride)
             g += far_w[fj] * (top - bot)
         diff = np.abs(g - full)
         est = batch_means(diff, batches)

@@ -39,11 +39,15 @@ JOINT_WINDOW_CAP = 4  # max |V| for single-call joint conditionals
 class QKernelContext:
     """Working box, boundary condition, and a partition-function cache.
 
-    The disorder domain is every site read by a kept interaction term: the
-    box itself under a free boundary, the box plus its range-r collar under
-    a fixed one.  ``log Z`` values are cached per full disorder assignment,
-    so repeated ratio evaluations over a common pool of configurations cost
-    one sweep each.
+    The disorder domain ``eta_domain`` is every site read by a kept
+    interaction term: the box itself under a free boundary, the box plus its
+    range-r collar under a fixed one.  A full disorder assignment on the
+    domain is one integer code, mixed-radix over ``eta_domain`` with the
+    first site least significant, each digit an index into
+    ``spec.disorder_values``: :meth:`code` encodes, :meth:`eta_of` decodes.
+    ``log Z`` is cached per code, so repeated ratio evaluations over a
+    common pool of configurations cost one sweep each; :meth:`logz` reads a
+    whole array of codes.
     """
 
     def __init__(
@@ -67,19 +71,57 @@ class QKernelContext:
         for A in self.term_sets:
             domain.update(A.sites)
         self.eta_domain = tuple(sorted(domain))
-        self._domain_index = {s: i for i, s in enumerate(self.eta_domain)}
+        k = len(spec.disorder_values)
+        self.n_codes = k ** len(self.eta_domain)
+        # per domain site: its value -> digit times the site's stride
+        self._places = [
+            (s, {v: d * k**i for d, v in enumerate(spec.disorder_values)})
+            for i, s in enumerate(self.eta_domain)
+        ]
+        self._box_sites = SiteSet(box.sites())
         self._logz: dict = {}
         self._mean_logz: dict = {}
         self._term_tables: dict = {}
 
-    # -- plumbing --------------------------------------------------------------
+    # -- disorder codes and the log Z cache --------------------------------------
 
-    def _eta_key(self, eta: Mapping) -> tuple:
+    def code(self, eta: Mapping) -> int:
+        """The code of ``eta`` restricted to the disorder domain."""
         try:
-            return tuple(eta[s] for s in self.eta_domain)
+            return sum([place[eta[s]] for s, place in self._places])
         except KeyError:
             missing = [s for s in self.eta_domain if s not in eta]
-            raise ConfigError(f"disorder not assigned on sites {missing}") from None
+            if missing:
+                raise ConfigError(f"disorder not assigned on sites {missing}") from None
+            bad = {s: eta[s] for s in self.eta_domain if eta[s] not in self.spec.disorder_values}
+            raise ConfigError(
+                f"disorder values {bad} are not in the alphabet {self.spec.disorder_values!r}"
+            ) from None
+
+    def strides(self) -> np.ndarray:
+        """Place values of the domain sites as int64, refusing wider codes."""
+        if self.n_codes > 1 << 63:
+            raise CapExceededError("disorder code", math.ceil(math.log2(self.n_codes)), 63)
+        k = len(self.spec.disorder_values)
+        return k ** np.arange(len(self.eta_domain), dtype=np.int64)
+
+    def eta_of(self, code: int) -> dict:
+        """The disorder assignment on the domain that ``code`` encodes."""
+        code = int(code)
+        if not 0 <= code < self.n_codes:
+            raise ValueError(f"disorder code {code} outside [0, {self.n_codes})")
+        values = self.spec.disorder_values
+        out = {}
+        for s in self.eta_domain:
+            code, digit = divmod(code, len(values))
+            out[s] = values[digit]
+        return out
+
+    def patch_codes(self, V: SiteSet, patches, eta_rest: Mapping) -> list:
+        """Codes of each patch on ``V`` completed by ``eta_rest`` off ``V``."""
+        window = frozenset(V.sites)
+        rest = {s: v for s, v in eta_rest.items() if s not in window}
+        return [self.code({**rest, **{s: p[s] for s in window if s in p}}) for p in patches]
 
     def ensemble(self, eta: Mapping) -> QuenchedEnsemble:
         return QuenchedEnsemble(
@@ -93,26 +135,33 @@ class QKernelContext:
         )
 
     def log_partition_at(self, eta: Mapping) -> float:
-        key = self._eta_key(eta)
+        """log Z at ``eta``; the one place a cache miss is swept."""
+        key = self.code(eta)
         hit = self._logz.get(key)
         if hit is None:
-            hit = self.ensemble(eta).log_partition()
-            self._logz[key] = hit
+            hit = self._logz[key] = self.ensemble(eta).log_partition()
         return hit
 
-    def _merge(self, V: SiteSet, eta_V: Mapping, eta_rest: Mapping) -> dict:
-        window = frozenset(V.sites)
-        out = {}
-        for s in self.eta_domain:
-            if s in window:
-                out[s] = eta_V[s]
-            elif s in eta_rest:
-                out[s] = eta_rest[s]
-        return out
+    def _logz_at(self, code: int) -> float:
+        hit = self._logz.get(code)
+        if hit is None:
+            hit = self.log_partition_at(self.eta_of(code))
+        return hit
+
+    def logz(self, codes) -> np.ndarray:
+        """log Z at every code of an int64 array, in the array's shape.
+
+        A miss is swept once, by :meth:`log_partition_at` at the decoded
+        assignment; every later read of that code is a memo hit.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.size and (codes.min() < 0 or codes.max() >= self.n_codes):
+            raise ValueError(f"disorder codes outside [0, {self.n_codes})")
+        return np.array([self._logz_at(c) for c in codes.ravel().tolist()]).reshape(codes.shape)
 
     def _check_window(self, V) -> SiteSet:
         Vset = V if isinstance(V, SiteSet) else SiteSet(V)
-        if not Vset.issubset(self.box):
+        if not Vset.issubset(self._box_sites):
             raise ValueError(f"flip window {Vset.sites} is not inside the box")
         return Vset
 
@@ -123,9 +172,8 @@ class QKernelContext:
     ) -> float:
         """log Z at (eta1 on V) minus log Z at (eta2 on V), rest shared."""
         Vset = self._check_window(V)
-        m1 = self._merge(Vset, eta1, eta_rest)
-        m2 = self._merge(Vset, eta2, eta_rest)
-        return self.log_partition_at(m1) - self.log_partition_at(m2)
+        c1, c2 = self.patch_codes(Vset, (eta1, eta2), eta_rest)
+        return self._logz_at(c1) - self._logz_at(c2)
 
     def log_q_via_expectation(
         self, V, eta1: Mapping, eta2: Mapping, eta_rest: Mapping
@@ -138,8 +186,7 @@ class QKernelContext:
         genuinely separate evaluation path.
         """
         Vset = self._check_window(V)
-        m1 = self._merge(Vset, eta1, eta_rest)
-        m2 = self._merge(Vset, eta2, eta_rest)
+        m1, m2 = map(self.eta_of, self.patch_codes(Vset, (eta1, eta2), eta_rest))
         ens = self.ensemble(m2)
         extras = []
         for A in self.term_sets:
@@ -302,15 +349,17 @@ class QKernelContext:
                 raise ConfigError(f"conditioning spin missing at {s}")
             sigma_full[s] = sigma_rest[s]
 
+        patches = list(product(self.spec.disorder_values, repeat=len(sites)))
+        codes = self.patch_codes(Vset, [dict(zip(sites, e)) for e in patches], eta_rest)
+        merged = [(self.eta_of(c), self._logz_at(c)) for c in codes]
         logw = {}
         for spins in product(self.spec.spin_values, repeat=len(sites)):
-            for etas in product(self.spec.disorder_values, repeat=len(sites)):
-                for s, v in zip(sites, spins):
-                    sigma_full[s] = v
-                eta_full = self._merge(Vset, dict(zip(sites, etas)), eta_rest)
-                logw[(spins, etas)] = self.annealed_log_weight(
-                    Vset, sigma_full, eta_full
-                ) - self.log_partition_at(eta_full)
+            for s, v in zip(sites, spins):
+                sigma_full[s] = v
+            for etas, (eta_full, logz) in zip(patches, merged):
+                logw[(spins, etas)] = (
+                    self.annealed_log_weight(Vset, sigma_full, eta_full) - logz
+                )
         peak = max(logw.values())
         weights = {k: math.exp(v - peak) for k, v in logw.items()}
         norm = sum(weights.values())
@@ -359,24 +408,22 @@ class QKernelContext:
         }
         eta_vals = list(self.spec.disorder_values)
 
-        # log Z for every disorder assignment of the domain, reused per patch;
-        # indexed first-site-least-significant to match the patch lookup below
-        logz = np.zeros((n_re, qe ** len(sites)))
-        for j in range(n_re):
-            rest = {s: eta_vals[int(eta_digits[s][j])] for s in rest_eta_sites}
-            for etas in product(eta_vals, repeat=len(sites)):
-                pk = sum(eta_vals.index(e) * qe**i for i, e in enumerate(etas))
-                full = self._merge(Vset, dict(zip(sites, etas)), rest)
-                logz[j, pk] = self.log_partition_at(full)
+        # log Z at every (rest, window) disorder pair, the window in patch order
+        stride = dict(zip(self.eta_domain, self.strides().tolist()))
+        rest_part = sum(
+            (eta_digits[s] * stride[s] for s in rest_eta_sites), np.zeros(n_re, dtype=np.int64)
+        )
+        window_part = [
+            sum(eta_vals.index(e) * stride.get(s, 0) for s, e in zip(sites, etas))
+            for etas in product(eta_vals, repeat=len(sites))
+        ]
+        logz = self.logz(rest_part[:, None] + np.array(window_part, dtype=np.int64))
 
         table = np.zeros((n_rs, n_re, len(patches)))
         for k, (spins, etas) in enumerate(patches):
-            pk = 0
-            for i, e in enumerate(etas):
-                pk += eta_vals.index(e) * qe**i
             # spin-dependent annealed terms: vectorize over rest assignments
             log_num = np.zeros((n_rs, n_re))
-            log_num -= logz[None, :, pk]
+            log_num -= logz[None, :, k % len(window_part)]
             for x, e in zip(sites, etas):
                 log_num += self.spec.log_nu(e)
             patch_sigma = dict(zip(sites, spins))

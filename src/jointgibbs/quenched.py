@@ -11,7 +11,6 @@ log space by the enumeration or transfer-matrix backends.
 from __future__ import annotations
 
 import math
-from itertools import product
 from numbers import Real
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -19,12 +18,9 @@ import numpy as np
 
 from . import engine
 from .engine import CompiledSystem, ProductObservable
-from .errors import CapExceededError, ConfigError, UnsupportedObservableError
+from .errors import ConfigError, UnsupportedObservableError
 from .lattice import Box, Site, SiteSet, as_site
 from .model import BoundaryCondition, ModelSpec
-
-EXPECTATION_CAP = 20  # max log2(#configs) for callback-style expectations
-
 
 class QuenchedEnsemble:
     """Gibbs measure of ``spec`` on ``region`` at disorder ``eta``.
@@ -194,34 +190,6 @@ class QuenchedEnsemble:
         return math.exp(-self.energy(sigma) - self.log_partition())
 
     # -- observables -----------------------------------------------------------
-
-    def expectation(self, obs) -> float:
-        """Gibbs expectation of ``obs``.
-
-        ``obs`` is either a :class:`ProductObservable` over site indices, a
-        pair ``(sites, site_funcs)`` defining one, or a plain callable on
-        spin maps (exhaustive; capped much lower than the sweep backends).
-        """
-        if isinstance(obs, ProductObservable):
-            return engine.sweep(self.compile(), (obs,))[1][0]
-        if isinstance(obs, tuple) and len(obs) == 2 and not callable(obs):
-            sites, funcs = obs
-            return engine.sweep(self.compile(), (self._product_obs(sites, funcs),))[1][0]
-        if not callable(obs):
-            raise TypeError("observable must be callable or a product form")
-        n, q = len(self.free_sites), self.q
-        if n * math.log2(q) > EXPECTATION_CAP:
-            raise CapExceededError("observable enumeration", n, EXPECTATION_CAP)
-        values = self.spec.spin_values
-        logz = self.log_partition()
-        system = self.compile()
-        total = 0.0
-        for combo in product(range(q), repeat=n):
-            digits = list(reversed(combo))
-            sigma = {s: values[d] for s, d in zip(self.free_sites, digits)}
-            w = math.exp(-system.energy(digits) - logz)
-            total += w * obs(sigma)
-        return total
 
     def _product_obs(self, sites, funcs) -> ProductObservable:
         values = self.spec.spin_values

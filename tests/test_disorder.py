@@ -154,6 +154,24 @@ def test_cbar_structure_and_reproducibility():
     assert all(r["m"] == 2 and r["samples"] == 24 for r in rows)
 
 
+def test_cbar_is_the_sample_average_of_c_xy():
+    # cbar gathers log Z by disorder code; c_xy per sample is the reference.
+    # The alphabet is out of sorted order and holds a value the law never
+    # draws, so the sampler's digits must be mapped onto alphabet digits
+    spec = make_rfim(J=0.4, h=0.6, disorder_values=(1, 0, -1), nu={1: 0.3, -1: 0.7})
+    ctx = QKernelContext(spec, Box.from_shape(2, 3))
+    est = cbar(ctx, 1, samples=16, seed=9, batches=8)
+    assert set(est.breakdown) == {(a, b) for a in (1, 0, -1) for b in (1, 0, -1)}
+    assert est.cbar > 1e-6
+    x, y = est.pair
+    sampler = DisorderSampler(spec.nu, ctx.eta_domain, seed=9)
+    tildes = [sampler.sample(i) for i in range(16)]
+    for (vx, vy), stats in est.breakdown.items():
+        ref = np.array([c_xy(ctx, x, y, vx, vy, t) for t in tildes])
+        assert stats["mean_signed"] == pytest.approx(ref.mean(), rel=1e-12, abs=1e-16)
+        assert stats["mean_abs"] == pytest.approx(np.abs(ref).mean(), rel=1e-12, abs=1e-16)
+
+
 # On a free-boundary chain Z = 2 prod_b 2cosh(J_b): log Z is a sum over bonds,
 # two bond flips act on it additively, and every flip covariance is zero in
 # exact arithmetic, whatever the coupling alphabet.

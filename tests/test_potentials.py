@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from itertools import combinations, product
 
@@ -11,12 +12,12 @@ from jointgibbs.model import make_dilute, make_rfim
 from jointgibbs.potentials import (
     ConstantEntry,
     NormalizingMeasure,
-    OccupiedProductEntry,
     PotentialTable,
     TabulatedEntry,
     center_potential,
     check_alpha_normalization,
     check_martingale,
+    epsilon_diagnostic,
     mobius_potential,
     partial_sum,
     partial_sum_expected,
@@ -25,7 +26,6 @@ from jointgibbs.potentials import (
     relative_energy_table,
 )
 from jointgibbs.qkernel import QKernelContext
-from jointgibbs.stats import EstimatedValue
 
 import oracles
 
@@ -77,23 +77,6 @@ def test_relative_energy_single_site_closed_form():
     got = relative_energy(ctx, [(0,)], {(0,): 1}, PRODUCT)
     # log Z(1) minus the even mixture of log Z(0) and log Z(1)
     assert got == pytest.approx(0.5 * math.log(math.cosh(0.7)), abs=1e-12)
-
-
-def test_relative_energy_mc_brackets_exact():
-    ctx = rfim_ctx((3,))
-    V = [(1,)]
-    eta = {(1,): 1}
-    exact = relative_energy(ctx, V, eta, PRODUCT)
-    est = relative_energy(ctx, V, eta, PRODUCT, mode="mc", samples=4000, seed=5)
-    assert isinstance(est, EstimatedValue)
-    assert est.n_samples == 4000
-    assert abs(est.value - exact) < 4 * est.stderr + 1e-12
-
-
-def test_relative_energy_mc_requires_seed():
-    ctx = rfim_ctx((2,))
-    with pytest.raises(ConfigError):
-        relative_energy(ctx, [(0,)], {(0,): 1}, PRODUCT, mode="mc", samples=100)
 
 
 def test_relative_energy_integration_cap():
@@ -396,15 +379,18 @@ def test_center_exact_removes_the_mean():
         assert mean == pytest.approx(0.0, abs=1e-12)
 
 
-def test_center_occupied_product_closed_form():
-    table = PotentialTable()
-    table.set([(0,), (1,)], OccupiedProductEntry(2.0))
-    out = center_potential(table, {0: 0.6, 1: 0.4})
-    entry = out.entry([(0,), (1,)])
-    assert isinstance(entry, OccupiedProductEntry)
-    assert entry.center == pytest.approx(0.4)
-    got = out.value([(0,), (1,)], {(0,): 1, (1,): 0})
-    assert got == pytest.approx(2.0 * (1 - 0.4) * (0 - 0.4), abs=1e-13)
+def test_epsilon_diagnostic_does_not_depend_on_the_alphabet_order():
+    # same law, same stream, same log Z per configuration: only the disorder
+    # codes differ, through the alphabet's order and an undrawn value
+    law = {-1: 0.35, 1: 0.65}
+    runs = []
+    for alphabet in ((-1, 1), (1, 0, -1)):
+        ctx = QKernelContext(make_rfim(0.3, 0.5, disorder_values=alphabet, nu=law),
+                             Box.from_shape(6))
+        runs.append(epsilon_diagnostic(ctx, (2,), (1, 2), samples=32, seed=4, batches=8))
+    assert runs[0].epsilon == runs[1].epsilon
+    assert runs[0].stderr == runs[1].stderr
+    assert min(runs[0].epsilon) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +403,6 @@ def test_table_json_roundtrip():
     table = PotentialTable(box, alpha="product", meta={"note": "t"})
     table.set([(0, 0)], ConstantEntry(0.25))
     table.set([(0, 0), (0, 1)], TabulatedEntry([0.1, -0.2, 0.3, -0.4], (-1, 1)))
-    table.set([(1, 0), (1, 1)], OccupiedProductEntry(1.5, center=0.4))
     buf = io.StringIO()
     table.dump(buf)
     buf.seek(0)
@@ -428,6 +413,18 @@ def test_table_json_roundtrip():
     eta = {(0, 0): 1, (0, 1): -1, (1, 0): 1, (1, 1): 1}
     for A, _ in table.items():
         assert back.value(A, eta) == pytest.approx(table.value(A, eta), abs=1e-14)
+
+
+def test_table_with_a_coefficient_form_entry_is_refused():
+    # symbolic coefficient forms are not a table entry kind; no command
+    # writes them, and loading one is a config error, not a silent zero
+    blob = {
+        "alpha": "vacuum:0",
+        "entries": [{"sites": [[0], [1]],
+                     "coeff_form": {"kind": "occupied_product", "coeff": 2.0}}],
+    }
+    with pytest.raises(ConfigError, match="unknown potential entry"):
+        PotentialTable.load(io.StringIO(json.dumps(blob)))
 
 
 def test_table_set_outside_window_rejected():

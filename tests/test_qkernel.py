@@ -4,7 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from jointgibbs.errors import CapExceededError
+from jointgibbs.disorder import c_xy, cbar
+from jointgibbs.errors import CapExceededError, ConfigError
 from jointgibbs.lattice import Box, SiteSet
 from jointgibbs.model import (
     BoundaryCondition,
@@ -13,6 +14,7 @@ from jointgibbs.model import (
     make_random_bond,
     make_rfim,
 )
+from jointgibbs.potentials import epsilon_diagnostic
 from jointgibbs.qkernel import QKernelContext
 from jointgibbs.quenched import QuenchedEnsemble
 
@@ -36,6 +38,131 @@ def test_window_must_lie_inside_box():
     ctx = QKernelContext(make_rfim(J=0.5, h=0.3), Box.from_shape(2, 2))
     with pytest.raises(ValueError):
         ctx.log_q([(9, 9)], {(9, 9): 1}, {(9, 9): -1}, {})
+
+
+# under a fixed boundary the collar carries disorder, so a window there
+# encodes fine and only the box check can refuse it
+@pytest.mark.parametrize("window", [[(0,), (3,)], [(-1,)]], ids=["straddles", "collar"])
+def test_flip_window_outside_the_box_is_refused(window):
+    ctx = QKernelContext(make_rfim(J=0.5, h=0.3), Box.from_shape(3),
+                         BoundaryCondition.fixed(fill=1))
+    assert (-1,) in ctx.eta_domain
+    eta = {s: 1 for s in ctx.eta_domain}
+    with pytest.raises(ValueError, match="not inside"):
+        ctx.log_q(window, eta, eta, eta)
+    with pytest.raises(ValueError, match="not inside"):
+        c_xy(ctx, window[0], window[-1], -1, -1, eta)
+
+
+@pytest.mark.parametrize(
+    "spec,bc",
+    [
+        (make_rfim(J=0.5, h=0.3, disorder_values=(-1, 0, 1)), None),
+        (make_random_bond([[0.1, 0.9], [0.5]], d=2), BoundaryCondition.fixed(fill=1)),
+    ],
+    ids=["rfim3", "random_bond_fixed"],
+)
+def test_disorder_codes_round_trip(spec, bc):
+    ctx = QKernelContext(spec, Box.from_shape(2, 2), bc)
+    values = spec.disorder_values
+    k = len(values)
+    assert ctx.n_codes == k ** len(ctx.eta_domain)
+    rng = np.random.default_rng(43)
+    for c in [0, 1, k, ctx.n_codes - 1] + rng.integers(0, ctx.n_codes, 50).tolist():
+        eta = ctx.eta_of(c)
+        assert tuple(eta) == ctx.eta_domain
+        assert ctx.code(eta) == c
+    # first domain site least significant, digits index the alphabet
+    first, second = ctx.eta_domain[:2]
+    eta = {s: values[0] for s in ctx.eta_domain}
+    eta[first] = values[1]
+    assert ctx.code(eta) == 1
+    eta[second] = values[k - 1]
+    assert ctx.code(eta) == 1 + (k - 1) * k
+    with pytest.raises(ValueError):
+        ctx.eta_of(ctx.n_codes)
+    with pytest.raises(ValueError):
+        ctx.logz([-1])
+
+
+def test_encoding_refuses_a_missing_site_or_a_foreign_value():
+    spec = make_rfim(J=0.5, h=0.3)
+    ctx = QKernelContext(spec, Box.from_shape(3))
+    full = {s: 1 for s in ctx.eta_domain}
+    gap = {s: 1 for s in ctx.eta_domain[1:]}
+    foreign = {**full, (1,): 7}
+    for eta, text in ((gap, "not assigned"), (foreign, "not in the alphabet")):
+        with pytest.raises(ConfigError, match=text):
+            ctx.code(eta)
+        with pytest.raises(ConfigError, match=text):
+            ctx.log_partition_at(eta)
+    # a merged assignment names the site whichever side is at fault
+    with pytest.raises(ConfigError, match="not assigned"):
+        ctx.log_q([(0,)], {(0,): 1}, {(0,): -1}, {(2,): 1})
+    with pytest.raises(ConfigError, match="not assigned"):
+        ctx.log_q([(0,), (1,)], {(0,): 1}, {(0,): -1, (1,): 1}, full)
+    with pytest.raises(ConfigError, match="not in the alphabet"):
+        ctx.log_q([(0,)], {(0,): 7}, {(0,): -1}, full)
+    assert not ctx._logz
+
+
+def test_logz_reads_the_fresh_ensemble_bits():
+    spec = make_random_bond([[0.1, 0.9], [0.5]], d=2)
+    box = Box.from_shape(2, 2)
+    bc = BoundaryCondition.fixed(fill=1)
+    ctx = QKernelContext(spec, box, bc)
+    rng = np.random.default_rng(47)
+    codes = rng.integers(0, ctx.n_codes, size=(4, 10))
+    got = ctx.logz(codes)
+    assert got.shape == codes.shape
+    for c, v in zip(codes.ravel().tolist(), got.ravel().tolist()):
+        assert v == QuenchedEnsemble(spec, box, ctx.eta_of(c), bc).log_partition()
+        assert v == ctx.log_partition_at(ctx.eta_of(c))
+
+
+@pytest.mark.parametrize("route", ["log_q", "logz", "cbar", "epsilon"])
+def test_every_miss_is_swept_inside_log_partition_at_once_per_code(monkeypatch, route):
+    # log_partition_at is the one place a log-Z miss is swept: a reader that
+    # swept from the array route directly would bypass the cache's contract
+    spec = make_rfim(J=0.5, h=0.3)
+    box = Box.from_shape(6)
+    ctx = QKernelContext(spec, box)
+    depth = [0]
+    swept = []
+    lookup = QKernelContext.log_partition_at
+    sweep = QuenchedEnsemble.log_partition
+
+    def counted_lookup(self, eta):
+        depth[0] += 1
+        try:
+            return lookup(self, eta)
+        finally:
+            depth[0] -= 1
+
+    def recorded_sweep(self):
+        swept.append((depth[0], ctx.code(self.eta)))
+        return sweep(self)
+
+    monkeypatch.setattr(QKernelContext, "log_partition_at", counted_lookup)
+    monkeypatch.setattr(QuenchedEnsemble, "log_partition", recorded_sweep)
+    rng = np.random.default_rng(53)
+    values = spec.disorder_values
+    if route == "log_q":
+        for _ in range(40):
+            V = [box.sites()[int(i)] for i in rng.choice(6, size=2, replace=False)]
+            rest = [s for s in ctx.eta_domain if s not in V]
+            ctx.log_q(V, rand_eta(rng, V, values), rand_eta(rng, V, values),
+                      rand_eta(rng, rest, values))
+    elif route == "logz":
+        ctx.logz(rng.integers(0, ctx.n_codes, size=(3, 40)))
+    elif route == "cbar":
+        cbar(ctx, 2, samples=16, seed=3, batches=8)
+    else:
+        epsilon_diagnostic(ctx, (2,), (1, 2), samples=16, seed=3, batches=8)
+    assert swept
+    assert all(d == 1 for d, _ in swept), "a miss was swept outside log_partition_at"
+    codes = [c for _, c in swept]
+    assert len(codes) == len(set(codes)) == len(ctx._logz)
 
 
 @pytest.mark.parametrize(

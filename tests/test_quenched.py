@@ -78,13 +78,6 @@ def test_strong_bond_aligns():
     assert p_same > 0.9999
 
 
-def test_expectation_of_constant():
-    spec = make_dilute(J=0.8, p=0.4)
-    box = Box.from_shape(2, 2)
-    ens = QuenchedEnsemble(spec, box, {s: 1 for s in box.sites()})
-    assert ens.expectation(lambda sigma: 3.5) == pytest.approx(3.5, abs=1e-12)
-
-
 def test_magnetization_vanishes_without_field():
     spec = make_rfim(J=0.6, h=0.0)
     box = Box.from_shape(3)

@@ -184,8 +184,12 @@ def require_seed(cfg: dict) -> int:
     return _field(cfg, "seed", None, int)
 
 
-def emit(cfg: dict, command: str, artifacts: dict, report: dict) -> None:
-    """Write artifacts + manifest to --out, or print the report."""
+def emit(cfg: dict, command: str, artifacts: dict, report: dict, contexts=()) -> None:
+    """Write artifacts + manifest to --out, or print the report.
+
+    The manifest records the log-Z counts of ``contexts``, summed, under
+    ``logz``.
+    """
     out = cfg.get("out")
     manifest = {
         "command": command,
@@ -194,6 +198,8 @@ def emit(cfg: dict, command: str, artifacts: dict, report: dict) -> None:
         "version": __version__,
         "config": {k: v for k, v in cfg.items() if k != "out"},
     }
+    if contexts:
+        manifest["logz"] = {k: sum(c.counts[k] for c in contexts) for k in contexts[0].counts}
     if out is None:
         print(json.dumps(report, indent=1, default=str))
         return
@@ -254,6 +260,7 @@ def cmd_check(cfg: dict) -> int:
     trials = _field(cfg, "trials", 50, int)
     seed = _field(cfg, "seed", 0, int)
     ctx = QKernelContext(spec, box, bc)
+    contexts = [ctx]
     alpha = build_alpha(cfg, spec)
     rng = np.random.default_rng(seed)
     values = spec.disorder_values
@@ -352,6 +359,7 @@ def cmd_check(cfg: dict) -> int:
             *(min(2, hi - lo + 1) for lo, hi in zip(box.lower, box.upper))
         )
         ctx2 = QKernelContext(spec, small_box, bc)
+        contexts.append(ctx2)
         table2 = relative_energy_table(ctx2, alpha)
         lam = SiteSet([small_box.lower])
         sigma_rest = {s: spec.spin_values[0] for s in small_box.sites() if s not in lam}
@@ -371,7 +379,7 @@ def cmd_check(cfg: dict) -> int:
         "sections": sections,
         "pass": ok,
     }
-    emit(cfg, "check", {"report.json": report}, report)
+    emit(cfg, "check", {"report.json": report}, report, contexts)
     return 0 if ok else 1
 
 
@@ -397,7 +405,7 @@ def cmd_potential(cfg: dict) -> int:
     table = prune_table(table, _field(cfg, "prune", 0.0, float))
     summary = table_summary(table)
     report = {"command": "potential", "model": spec.name, "summary": summary}
-    emit(cfg, "potential", {"table.json": table.to_json(), "summary.json": summary}, report)
+    emit(cfg, "potential", {"table.json": table.to_json(), "summary.json": summary}, report, [ctx])
     return 0
 
 
@@ -423,8 +431,10 @@ def cmd_converge(cfg: dict) -> int:
 
     lines = ["box,site,r,epsilon,stderr,samples,partial_sum"]
     trend_flags = []
+    contexts = []
     for b in boxes:
         ctx = QKernelContext(spec, b, bc)
+        contexts.append(ctx)
         x = b.center()
         usable = [r for r in radii if r <= max(hi - lo for lo, hi in zip(b.lower, b.upper))]
         diag = epsilon_diagnostic(ctx, x, usable, samples=samples, seed=seed, alpha=alpha if alpha.is_product else None)
@@ -445,7 +455,7 @@ def cmd_converge(cfg: dict) -> int:
         trend_flags.append({"box": shape, "non_increasing_within_2se": non_increasing})
     csv_text = "\n".join(lines) + "\n"
     report = {"command": "converge", "model": spec.name, "trend": trend_flags}
-    emit(cfg, "converge", {"converge.csv": csv_text, "trend.json": trend_flags}, report)
+    emit(cfg, "converge", {"converge.csv": csv_text, "trend.json": trend_flags}, report, contexts)
     return 0
 
 
@@ -493,7 +503,8 @@ def cmd_correlations(cfg: dict) -> int:
         },
         "fit": fit,
     }
-    emit(cfg, "correlations", {"correlations.csv": buf.getvalue(), "summary.json": report}, report)
+    emit(cfg, "correlations", {"correlations.csv": buf.getvalue(), "summary.json": report}, report,
+         [ctx])
     return 0
 
 

@@ -13,6 +13,11 @@ term sites, so a sweep that fits in one block keeps that index, and the
 transfer matrix its column plan and partial indices, for the last geometry
 it saw.
 
+Many systems that share one box can also be summed together: when each
+term's table is one of a few rows spread over all configurations, a block of
+systems is a one-hot matrix times that row table, followed by a log-sum-exp
+per system (:func:`log_partition_rows`).
+
 The transfer matrix handles 1D chains and 2D strips (state = one column of
 spins, capped at 64 states); it is an accelerator for large boxes, never the
 source of truth — cross-checks against enumeration live in the test suite.
@@ -258,6 +263,50 @@ def sweep(
 
 def log_partition_enumerate(system: CompiledSystem, cap: int = ENUMERATION_CAP) -> float:
     return sweep(system, (), cap)[0]
+
+
+# ---------------------------------------------------------------------------
+# batched sums over a shared row table
+# ---------------------------------------------------------------------------
+
+
+def spread_tables(q: int, n: int, sites: tuple, tables) -> np.ndarray:
+    """Each table of one term read at all ``q**n`` configurations, one row per table.
+
+    ``sites`` and the tables are in the form :func:`normalize_term` returns;
+    a term without sites reads its first entry, the constant, everywhere.
+    """
+    idx = next(_term_codes(q, (sites,), 0, q**n))
+    return np.stack([t[idx] for t in tables])
+
+
+def log_partition_rows(rows: np.ndarray, count: int, picks) -> np.ndarray:
+    """log Z of ``count`` systems whose energies are sums of rows of ``rows``.
+
+    ``rows`` is (n_rows, configurations), at most one chunk of
+    configurations.  System ``i`` has the energy row 0 plus the rows
+    ``picks(start, stop)[i - start]``, distinct and never 0.  Each chunk of
+    systems is one one-hot matrix times ``rows``, then an in-place
+    log-sum-exp per system; a chunk holds at most ``_NUMPY_CHUNK`` energies.
+    Energies must be finite: the product turns an infinite one into NaN.
+    """
+    n_rows, n_configs = rows.shape
+    if n_configs > _NUMPY_CHUNK:
+        raise ValueError(f"{n_configs} configurations do not fit one chunk")
+    per = _NUMPY_CHUNK // n_configs
+    out = np.empty(count)
+    energies = np.empty((min(per, count), n_configs))  # one buffer for every chunk
+    for start in range(0, count, per):
+        stop = min(start + per, count)
+        one_hot = np.zeros((stop - start, n_rows))
+        one_hot[:, 0] = 1.0
+        one_hot[np.arange(stop - start)[:, None], picks(start, stop)] = 1.0
+        e = np.matmul(one_hot, rows, out=energies[: stop - start])
+        low = e.min(axis=1)
+        np.subtract(low[:, None], e, out=e)
+        np.exp(e, out=e)
+        out[start:stop] = np.log(e.sum(axis=1)) - low
+    return out
 
 
 # ---------------------------------------------------------------------------

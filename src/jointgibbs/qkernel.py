@@ -28,12 +28,85 @@ from typing import Mapping
 
 import numpy as np
 
+from . import engine
 from .errors import CapExceededError, ConfigError
 from .lattice import Box, SiteSet
 from .model import BoundaryCondition, ModelSpec
 from .quenched import QuenchedEnsemble
 
 JOINT_WINDOW_CAP = 4  # max |V| for single-call joint conditionals
+ROW_TABLE_CAP = 1 << 21  # max entries (float64) of a context's batched row table
+
+
+class _RowTable:
+    """Every term table of a context, spread over all spin configurations.
+
+    Row 0 is the sum of the terms whose table is the same at every local
+    disorder pattern (and of the terms without free spins).  Every other
+    term has one row per distinct table over its patterns, so the energy of
+    code ``c`` over all configurations is row 0 plus one row per such term,
+    picked by the digits of ``c`` on the term's sites.  The table is empty
+    (false) where the batch does not apply: a spin space past one engine
+    chunk, a non-finite term table, or more than ``ROW_TABLE_CAP`` entries.
+    """
+
+    def __init__(self, ctx: "QKernelContext"):
+        self.rows = None
+        ens = ctx.ensemble(ctx.eta_of(0))
+        q, n = ens.q, len(ens.free_sites)
+        if q**n > engine._NUMPY_CHUNK or ctx.n_codes > 1 << 63:
+            return
+        k = len(ctx.spec.disorder_values)
+        pos = {s: i for i, s in enumerate(ctx.eta_domain)}
+        fixed, varying = [], []
+        for A in ctx.term_sets:
+            tables = ens.pattern_tables(A)
+            if not all(np.isfinite(t).all() for _, t in tables):
+                return
+            index: dict = {}
+            uniq, row_of = [], []
+            for _, t in tables:
+                row_of.append(index.setdefault(t.tobytes(), len(uniq)))
+                if row_of[-1] == len(uniq):
+                    uniq.append(t)
+            (fixed if len(uniq) == 1 else varying).append((A, tables[0][0], uniq, row_of))
+        n_rows = 1 + sum(len(uniq) for _, _, uniq, _ in varying)
+        if n_rows * q**n > ROW_TABLE_CAP:
+            return
+        rows = np.zeros((n_rows, q**n))
+        for _, sites, uniq, _ in fixed:
+            rows[0] += engine.spread_tables(q, n, sites, uniq)[0]
+        # lut[offsets[t] + pattern] is the row term t adds at that pattern
+        weights = np.zeros((len(ctx.eta_domain), len(varying)), dtype=np.int64)
+        offsets = np.zeros(len(varying), dtype=np.int64)
+        lut, top = [], 1
+        for t, (A, sites, uniq, row_of) in enumerate(varying):
+            for j, s in enumerate(A.sites):
+                weights[pos[s], t] = k**j
+            offsets[t] = len(lut)
+            lut.extend(top + r for r in row_of)
+            rows[top:top + len(uniq)] = engine.spread_tables(q, n, sites, uniq)
+            top += len(uniq)
+        rows.flags.writeable = False
+        self.rows = rows
+        self.weights = weights
+        self.offsets = offsets
+        self.lut = np.array(lut, dtype=np.intp)
+        self.strides = ctx.strides()
+        self.k = k
+
+    def __bool__(self) -> bool:
+        return self.rows is not None
+
+    def logz(self, codes: list) -> list:
+        """log Z at each code of a list, through the engine's batched sums."""
+        codes = np.array(codes, dtype=np.int64)
+
+        def picks(start, stop):
+            digits = codes[start:stop, None] // self.strides % self.k
+            return self.lut[digits @ self.weights + self.offsets]
+
+        return engine.log_partition_rows(self.rows, len(codes), picks).tolist()
 
 
 class QKernelContext:
@@ -46,8 +119,13 @@ class QKernelContext:
     first site least significant, each digit an index into
     ``spec.disorder_values``: :meth:`code` encodes, :meth:`eta_of` decodes.
     ``log Z`` is cached per code, so repeated ratio evaluations over a
-    common pool of configurations cost one sweep each; :meth:`logz` reads a
-    whole array of codes.
+    common pool of configurations cost one evaluation each; :meth:`logz`
+    reads a whole array of codes and evaluates its misses as one batch.
+
+    ``counts`` records the log-Z traffic: ``requests`` (codes read),
+    ``swept`` (misses evaluated one code at a time, by
+    :meth:`log_partition_at`), ``batched`` (misses evaluated in batches) and
+    ``batches`` (:meth:`logz` calls that evaluated a batch).
     """
 
     def __init__(
@@ -82,6 +160,8 @@ class QKernelContext:
         self._logz: dict = {}
         self._mean_logz: dict = {}
         self._term_tables: dict = {}
+        self._rows: _RowTable | None = None  # built on the first batch
+        self.counts = {"requests": 0, "swept": 0, "batched": 0, "batches": 0}
 
     # -- disorder codes and the log Z cache --------------------------------------
 
@@ -135,29 +215,50 @@ class QKernelContext:
         )
 
     def log_partition_at(self, eta: Mapping) -> float:
-        """log Z at ``eta``; the one place a cache miss is swept."""
+        """log Z at ``eta``; the one place a single-code miss is swept."""
         key = self.code(eta)
+        self.counts["requests"] += 1
         hit = self._logz.get(key)
         if hit is None:
             hit = self._logz[key] = self.ensemble(eta).log_partition()
+            self.counts["swept"] += 1
         return hit
 
     def _logz_at(self, code: int) -> float:
         hit = self._logz.get(code)
         if hit is None:
-            hit = self.log_partition_at(self.eta_of(code))
+            return self.log_partition_at(self.eta_of(code))
+        self.counts["requests"] += 1
         return hit
 
     def logz(self, codes) -> np.ndarray:
         """log Z at every code of an int64 array, in the array's shape.
 
-        A miss is swept once, by :meth:`log_partition_at` at the decoded
-        assignment; every later read of that code is a memo hit.
+        Each distinct miss is evaluated once.  Where the box's spin space
+        fits one engine chunk and every term table is finite, the misses are
+        one batch through the row table; otherwise :meth:`log_partition_at`
+        sweeps them one code at a time.  Every later read is a memo hit.
         """
         codes = np.asarray(codes, dtype=np.int64)
         if codes.size and (codes.min() < 0 or codes.max() >= self.n_codes):
             raise ValueError(f"disorder codes outside [0, {self.n_codes})")
-        return np.array([self._logz_at(c) for c in codes.ravel().tolist()]).reshape(codes.shape)
+        flat = codes.ravel().tolist()
+        memo = self._logz
+        misses = list(dict.fromkeys(c for c in flat if c not in memo))
+        swept = 0
+        if misses:
+            if self._rows is None:
+                self._rows = _RowTable(self)
+            if self._rows:
+                memo.update(zip(misses, self._rows.logz(misses)))
+                self.counts["batched"] += len(misses)
+                self.counts["batches"] += 1
+            else:
+                for c in misses:
+                    self.log_partition_at(self.eta_of(c))
+                swept = len(misses)
+        self.counts["requests"] += len(flat) - swept
+        return np.array([memo[c] for c in flat]).reshape(codes.shape)
 
     def _check_window(self, V) -> SiteSet:
         Vset = V if isinstance(V, SiteSet) else SiteSet(V)

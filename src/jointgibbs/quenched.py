@@ -11,6 +11,7 @@ log space by the enumeration or transfer-matrix backends.
 from __future__ import annotations
 
 import math
+from itertools import product
 from numbers import Real
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -107,28 +108,45 @@ class QuenchedEnsemble:
                 len(self.free_sites), self.q, site_coords=list(self.free_sites)
             )
             for A in self.term_sets:
-                sys_.add_normalized(*self._local_table(A))
+                sys_.add_normalized(*self._local_table(A, self.eta))
             self._system = sys_
         return self._system
 
-    def _local_table(self, A: SiteSet) -> tuple:
-        """The normalized table of the term on ``A``, from the memo if shared.
+    def _local_table(self, A: SiteSet, eta: Mapping) -> tuple:
+        """The normalized table of the term on ``A`` at ``eta``, from the memo if shared.
 
         A term on ``A`` reads spins and disorder on ``A`` only, so its table
         is fixed by ``A`` and the disorder there.  Memo entries are read-only.
         """
         if self._tables is None:
-            return engine.normalize_term(self.q, *self._term_table(A, None))
-        key = (A.sites, tuple(self.eta[s] for s in A.sites))
+            return self._phi_table(A, eta)
+        key = (A.sites, tuple(eta[s] for s in A.sites))
         hit = self._tables.get(key)
         if hit is None:
-            hit = engine.normalize_term(self.q, *self._term_table(A, None))
+            hit = self._phi_table(A, eta)
             hit[1].flags.writeable = False
             self._tables[key] = hit
         return hit
 
-    def _term_table(self, A: SiteSet, fn: Callable | None):
-        """Local energy table of one interaction set over its free digits."""
+    def _phi_table(self, A: SiteSet, eta: Mapping) -> tuple:
+        return engine.normalize_term(
+            self.q, *self._term_table(A, lambda sigma: self.spec.phi(A, sigma, eta))
+        )
+
+    def pattern_tables(self, A: SiteSet) -> list:
+        """The normalized table of the term on ``A`` at every disorder pattern on ``A``.
+
+        Patterns are mixed-radix over ``A.sites``, first site least
+        significant, each digit an index into ``spec.disorder_values``.
+        """
+        values = self.spec.disorder_values
+        return [
+            self._local_table(A, dict(zip(A.sites, pattern[::-1])))
+            for pattern in product(values, repeat=len(A.sites))
+        ]
+
+    def _term_table(self, A: SiteSet, fn: Callable):
+        """Table of ``fn(sigma_map)`` over the free digits of one interaction set."""
         free = [s for s in A if s in self.index]
         idx = [self.index[s] for s in free]
         k = len(free)
@@ -140,10 +158,7 @@ class QuenchedEnsemble:
             for s in free:
                 sigma[s] = values[c % self.q]
                 c //= self.q
-            if fn is None:
-                table[code] = self.spec.phi(A, sigma, self.eta)
-            else:
-                table[code] = fn(sigma)
+            table[code] = fn(sigma)
         return idx, table
 
     def extra_term(self, A, fn: Callable) -> tuple:

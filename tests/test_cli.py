@@ -2,6 +2,7 @@ import json
 import math
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from jointgibbs.cli import main, parse_box, prune_table, table_summary
@@ -128,6 +129,30 @@ def test_check_passes_on_a_small_box(tmp_path, capsys):
     assert "out" not in manifest["config"]
 
 
+def test_manifest_records_the_log_z_counts(tmp_path, capsys):
+    def counts(argv, name):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["logz"]
+
+    # the potential table reads single codes: every miss is swept on its own
+    table = counts(["potential", "--box", "1x4"], "potential")
+    assert table["swept"] == 2**4 and table["batched"] == table["batches"] == 0
+    assert table["requests"] > table["swept"]
+    # flip covariances read arrays of codes: their misses are batched
+    cfg = write_config(tmp_path, "cfg.json", {"box": "1x6", "m_values": [1, 2], "samples": 40})
+    corr = counts(["correlations", "--config", cfg, "--seed", "2"], "correlations")
+    assert corr["swept"] == 0 < corr["batched"] <= 2**6
+    assert corr["batches"] == 2 and corr["requests"] == 2 * 4 * 40
+    # converge sums over its boxes; check over its two contexts
+    cfg = write_config(tmp_path, "conv.json", {"boxes": ["1x3", "1x4"], "radii": [1], "samples": 20})
+    conv = counts(["converge", "--config", cfg, "--seed", "4"], "converge")
+    assert conv["batched"] == 2**3 + 2**4
+    check = counts(["check", "--box", "1x3", "--seed", "0"], "check")
+    assert check["requests"] >= check["swept"] > 0
+    capsys.readouterr()
+
+
 def test_check_with_fixed_boundary(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "cfg.json",
@@ -178,7 +203,17 @@ def test_potential_writes_table_and_summary(tmp_path, capsys):
     assert code == 0
     with open(out / "table.json") as fp:
         table = PotentialTable.load(fp)
-    assert len(table) == 2**4 - 1
+    # the pairs and the full set are nonzero in exact arithmetic; singletons
+    # and triples vanish by the eta -> -eta, sigma -> -sigma symmetry and
+    # survive the 0.0 prune only as rounding
+    sites = Box.from_shape(4).sites()
+    for A in list(combinations(sites, 2)) + [tuple(sites)]:
+        entry = table.entry(list(A))
+        assert entry is not None, A
+        assert float(np.abs(entry.values).max()) > 1e-6, A
+    for A, entry in table.items():
+        if len(A) in (1, 3):
+            assert float(np.abs(entry.values).max()) <= 1e-12, A.sites
     summary = json.loads((out / "summary.json").read_text())
     assert summary["entries"] == len(table)
     assert report_from(capsys)["summary"]["entries"] == len(table)

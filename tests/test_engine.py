@@ -102,6 +102,43 @@ def test_sweep_index_is_kept_for_one_single_chunk_geometry(monkeypatch):
     assert engine._last_index == [None, None]
 
 
+def test_log_partition_rows_matches_the_sweep():
+    # 40 systems of 10 spins share a box: a constant term, a fixed pair and
+    # three terms with two or three candidate tables each; a chunk of
+    # 16 * 2^10 energies holds 16 systems, so the batch runs in three chunks
+    rng = np.random.default_rng(61)
+    q, n = 2, 10
+    fixed = [((), np.array([0.7])), ((0, 9), rng.normal(size=4))]
+    varying = [((1,), rng.normal(size=(2, 2))), ((2, 5), rng.normal(size=(3, 4))),
+               ((3, 4, 8), rng.normal(size=(2, 8)))]
+    rows = [sum(engine.spread_tables(q, n, sites, [t])[0] for sites, t in fixed)]
+    first = []
+    for sites, tables in varying:
+        first.append(len(rows))
+        rows.extend(engine.spread_tables(q, n, sites, list(tables)))
+    rows = np.array(rows)
+    choice = np.stack([rng.integers(0, len(t), size=40) for _, t in varying], axis=1)
+    calls = []
+
+    def picks(start, stop):
+        calls.append((start, stop))
+        return choice[start:stop] + np.array(first)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_NUMPY_CHUNK", 16 * 2**n)
+        got = engine.log_partition_rows(rows, 40, picks)
+    assert calls == [(0, 16), (16, 32), (32, 40)]
+    for i in range(40):
+        system = CompiledSystem(n, q)
+        for sites, table in fixed:
+            system.add_term(sites, table)
+        for (sites, tables), c in zip(varying, choice[i]):
+            system.add_term(sites, tables[c])
+        assert got[i] == pytest.approx(log_partition_enumerate(system), rel=0, abs=1e-12)
+    with pytest.raises(ValueError):
+        engine.log_partition_rows(np.zeros((1, 2 * engine._NUMPY_CHUNK)), 1, picks)
+
+
 def test_add_term_reorders_sites():
     # the same physical term entered with sites ascending and descending
     rng = np.random.default_rng(3)

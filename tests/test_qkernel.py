@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from jointgibbs import engine, qkernel
 from jointgibbs.disorder import c_xy, cbar
 from jointgibbs.errors import CapExceededError, ConfigError
 from jointgibbs.lattice import Box, SiteSet
@@ -107,30 +108,34 @@ def test_encoding_refuses_a_missing_site_or_a_foreign_value():
 
 
 def test_logz_reads_the_fresh_ensemble_bits():
-    spec = make_random_bond([[0.1, 0.9], [0.5]], d=2)
-    box = Box.from_shape(2, 2)
-    bc = BoundaryCondition.fixed(fill=1)
-    ctx = QKernelContext(spec, box, bc)
+    # the batch sums each code's terms in BLAS order, so it agrees with the
+    # per-code sweep of a context-free ensemble to rounding, not bit for bit
+    box = Box.from_shape(3, 2)
     rng = np.random.default_rng(47)
-    codes = rng.integers(0, ctx.n_codes, size=(4, 10))
-    got = ctx.logz(codes)
-    assert got.shape == codes.shape
-    for c, v in zip(codes.ravel().tolist(), got.ravel().tolist()):
-        assert v == QuenchedEnsemble(spec, box, ctx.eta_of(c), bc).log_partition()
-        assert v == ctx.log_partition_at(ctx.eta_of(c))
+    for spec in (
+        make_rfim(J=0.5, h=0.3),
+        make_random_bond([[0.1, 0.9], [0.5]], d=2),
+        make_dilute(J=0.8, p=0.4),
+    ):
+        for bc in (BoundaryCondition.free(), BoundaryCondition.fixed(fill=1)):
+            ctx = QKernelContext(spec, box, bc)
+            codes = rng.integers(0, ctx.n_codes, size=(4, 10))
+            got = ctx.logz(codes)
+            assert got.shape == codes.shape
+            assert ctx.counts["swept"] == 0 < ctx.counts["batched"]
+            for c, v in zip(codes.ravel().tolist(), got.ravel().tolist()):
+                fresh = QuenchedEnsemble(spec, box, ctx.eta_of(c), bc).log_partition()
+                assert v == pytest.approx(fresh, rel=0, abs=1e-12), (spec.name, bc.kind, c)
+                assert v == ctx.log_partition_at(ctx.eta_of(c))
 
 
-@pytest.mark.parametrize("route", ["log_q", "logz", "cbar", "epsilon"])
-def test_every_miss_is_swept_inside_log_partition_at_once_per_code(monkeypatch, route):
-    # log_partition_at is the one place a log-Z miss is swept: a reader that
-    # swept from the array route directly would bypass the cache's contract
-    spec = make_rfim(J=0.5, h=0.3)
-    box = Box.from_shape(6)
-    ctx = QKernelContext(spec, box)
+def _record_misses(monkeypatch, ctx):
+    """Record each sweep of a miss (lookup depth, code) and each batch size."""
     depth = [0]
-    swept = []
+    swept, batched = [], []
     lookup = QKernelContext.log_partition_at
     sweep = QuenchedEnsemble.log_partition
+    batch = engine.log_partition_rows
 
     def counted_lookup(self, eta):
         depth[0] += 1
@@ -143,8 +148,25 @@ def test_every_miss_is_swept_inside_log_partition_at_once_per_code(monkeypatch, 
         swept.append((depth[0], ctx.code(self.eta)))
         return sweep(self)
 
+    def recorded_batch(rows, count, picks):
+        batched.append(count)
+        return batch(rows, count, picks)
+
     monkeypatch.setattr(QKernelContext, "log_partition_at", counted_lookup)
     monkeypatch.setattr(QuenchedEnsemble, "log_partition", recorded_sweep)
+    monkeypatch.setattr(engine, "log_partition_rows", recorded_batch)
+    return swept, batched
+
+
+@pytest.mark.parametrize("route", ["log_q", "logz", "cbar", "epsilon"])
+def test_every_miss_is_swept_inside_log_partition_at_once_per_code(monkeypatch, route):
+    # a single-code read sweeps its miss inside log_partition_at; array reads
+    # on a box that fits one engine chunk evaluate theirs as batches; either
+    # way each code is evaluated exactly once
+    spec = make_rfim(J=0.5, h=0.3)
+    box = Box.from_shape(6)
+    ctx = QKernelContext(spec, box)
+    swept, batched = _record_misses(monkeypatch, ctx)
     rng = np.random.default_rng(53)
     values = spec.disorder_values
     if route == "log_q":
@@ -153,16 +175,89 @@ def test_every_miss_is_swept_inside_log_partition_at_once_per_code(monkeypatch, 
             rest = [s for s in ctx.eta_domain if s not in V]
             ctx.log_q(V, rand_eta(rng, V, values), rand_eta(rng, V, values),
                       rand_eta(rng, rest, values))
-    elif route == "logz":
+        assert swept
+        assert all(d == 1 for d, _ in swept), "a miss was swept outside log_partition_at"
+        codes = [c for _, c in swept]
+        assert len(codes) == len(set(codes)) == len(ctx._logz)
+        return
+    if route == "logz":
         ctx.logz(rng.integers(0, ctx.n_codes, size=(3, 40)))
+        ctx.logz(rng.integers(0, ctx.n_codes, size=50))
     elif route == "cbar":
         cbar(ctx, 2, samples=16, seed=3, batches=8)
     else:
         epsilon_diagnostic(ctx, (2,), (1, 2), samples=16, seed=3, batches=8)
-    assert swept
+    assert not swept, "a miss on an enumerable box was swept one code at a time"
+    assert ctx.counts["swept"] == 0
+    assert sum(batched) == ctx.counts["batched"] == len(ctx._logz) > 0
+    assert ctx.counts["batches"] == len(batched)
+    assert ctx.counts["requests"] >= len(ctx._logz)
+
+
+def _chain(term_at):
+    """A custom two-state chain model whose terms ``term_at(A, sig, eta)`` gives."""
+    return make_custom(
+        name="chain", spin_values=(-1, 1), disorder_values=(-1, 1),
+        nu={-1: 1.0, 1: 1.0}, range=1, term=term_at,
+        shapes=lambda x: [SiteSet([x]), SiteSet([x, (x[0] + 1,)]), SiteSet([(x[0] - 1,), x])],
+    )
+
+
+def test_logz_sweeps_one_code_at_a_time_past_one_chunk(monkeypatch):
+    # 2^17 spin configurations do not fit one engine chunk; only site 0
+    # carries a field, so the row table (3 rows) would fit its cap
+    def term(A, sig, eta):
+        if len(A.sites) == 1:
+            x = A.sites[0]
+            return -0.3 * (eta[x] + 2) * sig[x] if x == (0,) else 0.0
+        x, y = A.sites
+        return -0.5 * sig[x] * sig[y]
+
+    ctx = QKernelContext(_chain(term), Box.from_shape(17))
+    swept, batched = _record_misses(monkeypatch, ctx)
+    got = ctx.logz([5, 8, 5, 77])
+    assert not batched
     assert all(d == 1 for d, _ in swept), "a miss was swept outside log_partition_at"
-    codes = [c for _, c in swept]
-    assert len(codes) == len(set(codes)) == len(ctx._logz)
+    assert [c for _, c in swept] == [5, 8, 77]
+    assert ctx.counts == {"requests": 4, "swept": 3, "batched": 0, "batches": 0}
+    assert got[0] == got[2] == ctx.log_partition_at(ctx.eta_of(5))
+    # codes 5 and 77 agree at site 0, code 8 does not
+    assert got[0] == got[3] != got[1]
+
+
+def test_logz_sweeps_one_code_at_a_time_past_the_row_table_cap(monkeypatch):
+    monkeypatch.setattr(qkernel, "ROW_TABLE_CAP", 12 * 2**6)
+    ctx = QKernelContext(make_rfim(J=0.5, h=0.3), Box.from_shape(6))
+    got = ctx.logz(np.arange(ctx.n_codes))  # 13 rows of 2^6 entries
+    assert ctx.counts["batched"] == 0
+    assert ctx.counts["swept"] == ctx.n_codes
+    assert got[11] == QuenchedEnsemble(ctx.spec, ctx.box, ctx.eta_of(11)).log_partition()
+
+
+def test_logz_sweeps_one_code_at_a_time_past_a_non_finite_table():
+    # a one-hot product turns an infinite energy into NaN, so a context with
+    # a hard constraint keeps the per-code sweep
+    def term(A, sig, eta):
+        if len(A.sites) == 1:
+            x = A.sites[0]
+            if x == (2,) and eta[x] == 1 and sig[x] == -1:
+                return math.inf
+            return -0.3 * eta[x] * sig[x]
+        x, y = A.sites
+        return -0.5 * sig[x] * sig[y]
+
+    box = Box.from_shape(6)
+    ctx = QKernelContext(_chain(term), box)
+    got = ctx.logz(np.arange(ctx.n_codes))
+    assert np.isfinite(got).all()
+    assert ctx.counts["batched"] == 0
+    assert ctx.counts["swept"] == ctx.n_codes
+    for c in (0, 4, 37, 63):
+        eta = ctx.eta_of(c)
+        assert got[c] == ctx.log_partition_at(eta)
+        assert got[c] == QuenchedEnsemble(ctx.spec, box, eta).log_partition()
+    # the constraint bites: pinning the spin at (2,) changes log Z
+    assert got[ctx.code({**ctx.eta_of(0), (2,): 1})] != got[0]
 
 
 @pytest.mark.parametrize(

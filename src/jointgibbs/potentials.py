@@ -13,7 +13,10 @@ single-site averaged log-ratio localizes.
 Everything here is finite-volume.  Relative energies, tables and identity
 checks integrate the disorder exactly (exhaustively, under a cap); only the
 truncation diagnostic samples, from the package's one disorder stream, with
-batch-means error bars.
+batch-means error bars.  A relative-energy table reads log Z once per
+disorder code it needs and forms every subset's energy row by array
+operations on that vector; the rows equal the scalar route,
+:func:`relative_energy`, bit for bit.
 """
 
 from __future__ import annotations
@@ -273,16 +276,27 @@ class PotentialTable:
         self.alpha = alpha
         self.meta = dict(meta or {})
         self._entries: dict = {}
+        self._sets: dict = {}  # key -> its SiteSet, built once
+        self._order: list | None = None  # sorted keys, dropped when a key is added
 
     def set(self, A, entry) -> None:
         key = _sites_key(A)
         if self.window_sites is not None:
-            missing = [s for s in key if s not in set(self.window_sites)]
+            window = frozenset(self.window_sites)
+            missing = [s for s in key if s not in window]
             if missing:
                 raise WindowMismatchError(f"sites {missing} outside the window")
         if not isinstance(entry, (ConstantEntry, TabulatedEntry)):
             entry = ConstantEntry(float(entry))
+        if key not in self._sets:
+            self._sets[key] = A if isinstance(A, SiteSet) else SiteSet(key)
+            self._order = None
         self._entries[key] = entry
+
+    def _sorted_keys(self) -> list:
+        if self._order is None:
+            self._order = sorted(self._entries)
+        return self._order
 
     def entry(self, A):
         return self._entries.get(_sites_key(A))
@@ -295,10 +309,10 @@ class PotentialTable:
         return e.value(key, eta)
 
     def support(self, eta: Mapping | None = None) -> list:
-        return [SiteSet(k) for k in sorted(self._entries)]
+        return [self._sets[k] for k in self._sorted_keys()]
 
     def items(self):
-        return [(SiteSet(k), e) for k, e in sorted(self._entries.items())]
+        return [(self._sets[k], self._entries[k]) for k in self._sorted_keys()]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -354,6 +368,39 @@ class PotentialTable:
 # ---------------------------------------------------------------------------
 
 
+def _transform_sites(window, cap: int, disorder_values: Sequence | None = None) -> tuple:
+    """The window's sites in bit order, once the transform's caps admit it."""
+    if isinstance(window, Box):
+        sites = tuple(window.sites())
+    else:
+        sites = tuple(sorted(as_site(s) for s in window))
+    n = len(sites)
+    if n > cap:
+        raise CapExceededError("subset transform window", n, cap)
+    if disorder_values is not None:
+        bits = n + n * math.log2(len(disorder_values))
+        if bits > TABULATION_CAP_BITS:
+            raise CapExceededError(
+                "tabulated subset transform", math.ceil(bits), TABULATION_CAP_BITS
+            )
+    return sites
+
+
+def _butterfly(vals: np.ndarray) -> None:
+    """In-place signed subset sums over the leading axis of 2^n bitmask rows."""
+    n = len(vals).bit_length() - 1
+    for i in range(n):
+        # rows with bit i set, less the same row without it
+        pairs = vals.reshape(1 << (n - 1 - i), 2, 1 << i, -1)
+        pairs[:, 1] -= pairs[:, 0]
+
+
+def _pattern_digits(k: int, m: int) -> np.ndarray:
+    """Digit ``pos`` of every pattern index on ``m`` sites, first site fastest."""
+    idx = np.arange(k**m, dtype=np.int64)
+    return np.array([(idx // k**pos) % k for pos in range(m)]).reshape(m, k**m)
+
+
 def mobius_potential(
     window,
     energy: Callable,
@@ -364,79 +411,48 @@ def mobius_potential(
 ) -> PotentialTable:
     """Inclusion-exclusion transform of ``energy`` over subsets of a window.
 
-    ``energy(SiteSet) -> float`` yields a fixed-disorder table;
-    ``energy(SiteSet, eta_map) -> float`` with ``disorder_values`` yields a
-    table tabulated over disorder patterns per subset.  The signed subset
-    sums are evaluated by a dense in-place butterfly over bitmasks, so the
-    inverse identity (subset sums of entries recover the energy) holds to
-    round-off.
+    ``energy(SiteSet) -> float`` yields a fixed-disorder table.  With
+    ``disorder_values`` (an alphabet of k values) the table is tabulated over
+    disorder patterns per subset: ``energy(SiteSet)`` then returns an array
+    of k^|A| values, one per pattern on the subset's sites, with the first
+    site's digit fastest and digits indexing ``disorder_values``.  The
+    signed subset sums are evaluated by a dense in-place butterfly over
+    bitmasks, so the inverse identity (subset sums of entries recover the
+    energy) holds to round-off.
     """
-    if isinstance(window, Box):
-        sites = tuple(window.sites())
-    else:
-        sites = tuple(sorted(as_site(s) for s in window))
+    sites = _transform_sites(window, cap, disorder_values)
     n = len(sites)
-    if n > cap:
-        raise CapExceededError("subset transform window", n, cap)
     table = PotentialTable(window, alpha_tag)
+    subsets = [
+        SiteSet([sites[i] for i in range(n) if mask >> i & 1]) for mask in range(1 << n)
+    ]
 
     if disorder_values is None:
         vals = np.zeros(1 << n)
         for mask in range(1, 1 << n):
-            A = SiteSet([sites[i] for i in range(n) if mask >> i & 1])
-            vals[mask] = energy(A)
-        for i in range(n):
-            bit = 1 << i
-            for mask in range(1 << n):
-                if mask & bit:
-                    vals[mask] -= vals[mask ^ bit]
+            vals[mask] = energy(subsets[mask])
+        _butterfly(vals)
         for mask in range(1, 1 << n):
-            A = [sites[i] for i in range(n) if mask >> i & 1]
-            table.set(A, ConstantEntry(vals[mask]))
+            table.set(subsets[mask], ConstantEntry(vals[mask]))
         return table
 
+    # one row per subset over every pattern of the window (first site fastest)
     k = len(disorder_values)
-    bits = n + n * math.log2(k)
-    if bits > TABULATION_CAP_BITS:
-        raise CapExceededError("tabulated subset transform", math.ceil(bits), TABULATION_CAP_BITS)
-    n_codes = k**n
-    codes = np.arange(n_codes, dtype=np.int64)
-    digit = [(codes // k**i) % k for i in range(n)]
-    vals = np.zeros((1 << n, n_codes))
+    digit = _pattern_digits(k, n)
+    place = k ** np.arange(n, dtype=np.int64)
+    vals = np.zeros((1 << n, k**n))
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
-        A = SiteSet([sites[i] for i in members])
-        local = np.zeros(k ** len(members))
-        for j, combo in enumerate(product(disorder_values, repeat=len(members))):
-            eta = {sites[i]: v for i, v in zip(members, combo)}
-            # combo order: first member is the fastest digit
-            idx = 0
-            for pos in range(len(members)):
-                idx += disorder_values.index(combo[pos]) * k**pos
-            local[idx] = energy(A, eta)
-        gather = np.zeros(n_codes, dtype=np.int64)
-        for pos, i in enumerate(members):
-            gather += digit[i] * k**pos
-        vals[mask] = local[gather]
-    for i in range(n):
-        bit = 1 << i
-        for mask in range(1 << n):
-            if mask & bit:
-                vals[mask] -= vals[mask ^ bit]
+        # each window pattern reads the subset's pattern on the member digits
+        local = np.asarray(energy(subsets[mask]), dtype=np.float64)
+        vals[mask] = local[place[: len(members)] @ digit[members]]
+    _butterfly(vals)
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
-        A = [sites[i] for i in members]
-        # compress the full-code row to the entry's own digits
-        local_idx = np.zeros(k ** len(members), dtype=np.int64)
-        for j, combo in enumerate(product(range(k), repeat=len(members))):
-            code = 0
-            for pos, i in enumerate(members):
-                code += combo[pos] * k**i
-            lidx = 0
-            for pos in range(len(members)):
-                lidx += combo[pos] * k**pos
-            local_idx[lidx] = code
-        table.set(A, TabulatedEntry(vals[mask][local_idx], disorder_values))
+        # and back: the window pattern with the subset's digits, zero elsewhere
+        m = len(members)
+        values = vals[mask][place[members] @ digit[:m, : k**m]]
+        table.set(subsets[mask], TabulatedEntry(values, disorder_values))
     return table
 
 
@@ -447,12 +463,77 @@ def relative_energy_table(
     window=None,
     cap: int = SUBSET_ENUMERATION_CAP,
 ) -> PotentialTable:
-    """Möbius potential of this context's relative energy over its window."""
+    """Möbius potential of this context's relative energy over its window.
+
+    Every cap is checked before any log Z is read.  Then each disorder code
+    the table needs is read once, through :meth:`QKernelContext.log_partition_at`,
+    into a dense vector: every alphabet value on the window, and off it the
+    law's values (product) or the vacuum (point mass, whose table reads
+    k^|window| codes).  A point mass is the product of one-point laws, so
+    both kinds share one row formula: a subset's row over its patterns is
+    the weighted sum over the rest of the domain in :func:`relative_energy`'s
+    order (``itertools.product`` order, weights multiplied left to right,
+    added one by one from 0.0) less :func:`_mean_log_partition`, which makes
+    the table's rows bit-equal to the scalar route.
+    """
     window = window if window is not None else ctx.box
+    values = ctx.spec.disorder_values
+    sites = _transform_sites(window, cap, values)
+    if not SiteSet(sites).issubset(ctx.box):
+        raise ValueError(f"window {sites} is not inside the box")
+    domain = ctx.eta_domain
+    if alpha.is_product:
+        law = alpha.law(ctx.spec)
+        bits = _integration_bits(len(domain), law)
+        if bits > EXACT_INTEGRATION_CAP_BITS:
+            raise CapExceededError(
+                "exact disorder integration", math.ceil(bits), EXACT_INTEGRATION_CAP_BITS
+            )
+    else:
+        law = {alpha.vacuum_fill: 1.0}
+    items = _law_items(law)
+
+    # domain site s takes a digit over choices[s], the first site fastest
+    on_window = set(sites)
+    law_values = [v for v, _ in items]
+    choices = [values if s in on_window else law_values for s in domain]
+    logz = np.array([
+        ctx.log_partition_at(dict(zip(domain, reversed(combo))))
+        for combo in product(*reversed(choices))
+    ])
+    mean = _mean_log_partition(ctx, law)
+    # index into logz: each site's digit times the radix below it
+    radix, law_place = {}, {}
+    below = 1
+    for s, c in zip(domain, choices):
+        radix[s] = below
+        law_place[s] = np.array([c.index(v) for v in law_values]) * below
+        below *= len(c)
+    weights = np.array([w for _, w in items])
+    k, q = len(values), len(items)
+
+    def rows(A: SiteSet) -> np.ndarray:
+        digit = _pattern_digits(k, len(A))
+        at = np.zeros(k ** len(A), dtype=np.int64)
+        for pos, s in enumerate(A):
+            at += digit[pos] * radix.get(s, 0)
+        # rest patterns in itertools.product order: the first rest site slowest
+        rest = [s for s in domain if s not in A]
+        rdigit = _pattern_digits(q, len(rest))[::-1]
+        w = np.ones(q ** len(rest))
+        off = np.zeros(q ** len(rest), dtype=np.int64)
+        for i, s in enumerate(rest):
+            w *= weights[rdigit[i]]
+            off += law_place[s][rdigit[i]]
+        # row 0 is the 0.0 the scalar route's sum starts from
+        terms = np.zeros((len(w) + 1, len(at)))
+        np.multiply(w[:, None], logz[off[:, None] + at], out=terms[1:])
+        return np.add.accumulate(terms, axis=0)[-1] - mean
+
     return mobius_potential(
         window,
-        lambda A, eta: relative_energy(ctx, A, eta, alpha),
-        disorder_values=ctx.spec.disorder_values,
+        rows,
+        disorder_values=values,
         alpha_tag=alpha.tag(),
         cap=cap,
     )
@@ -682,31 +763,29 @@ def check_alpha_normalization(
     """
     worst = 0.0
     for A, entry in table.items():
-        key = A.sites
         if isinstance(entry, ConstantEntry):
             worst = max(worst, abs(entry.v))
             continue
+        k, m = len(entry.alphabet), len(A)
+        # axis j of the tensor is the digit of the entry's j-th site
+        tensor = entry.values.reshape((k,) * m, order="F")
         if alpha.is_product:
             use_law = law if law is not None else dict(alpha.nu or {})
             if not use_law:
                 raise ConfigError("need a law to average against")
             items = _law_items(use_law)
-            for x in key:
-                others = [s for s in key if s != x]
-                for assign, _ in _product_assignments(others, dict(items)):
-                    acc = 0.0
-                    for v, w in items:
-                        patch = dict(assign)
-                        patch[x] = v
-                        acc += w * entry.value(key, patch)
-                    worst = max(worst, abs(acc))
+            # every site runs over the law's values only
+            digits = [entry.alphabet.index(v) for v, _ in items]
+            tensor = tensor[np.ix_(*[digits] * m)]
+            for axis in range(m):
+                acc = 0.0
+                for i, (_, w) in enumerate(items):
+                    acc = acc + w * tensor.take(i, axis=axis)
+                worst = max(worst, float(np.abs(acc).max()))
         else:
-            for x in key:
-                others = [s for s in key if s != x]
-                for combo in product(entry.alphabet, repeat=len(others)):
-                    patch = dict(zip(others, combo))
-                    patch[x] = alpha.vacuum_at(x)
-                    worst = max(worst, abs(entry.value(key, patch)))
+            vacuum = entry.alphabet.index(alpha.vacuum_fill)
+            for axis in range(m):
+                worst = max(worst, float(np.abs(tensor.take(vacuum, axis=axis)).max()))
     return worst
 
 

@@ -183,6 +183,82 @@ def mobius_signed(window_sites, energy):
     return out
 
 
+def mobius_nested(A, energy):
+    """U_A as nested site differences, computed for A alone.
+
+    The same signed subset sum as :func:`mobius_signed`, grouped one site at
+    a time in the order of ``A``: the difference operator of A's last site
+    applied to that of the one before, and so on down to the energy.  That
+    grouping is the butterfly's, so its values round the same way.
+    """
+
+    def diff(S, members):
+        if not members:
+            return energy(S)
+        *head, last = members
+        value = diff(S, head)
+        if last in S:
+            value = value - diff(tuple(s for s in S if s != last), head)
+        return value
+
+    return diff(tuple(A), list(A))
+
+
+def subset_relative_energy_table(ctx, alpha, window):
+    """The relative-energy table one pattern at a time, with no shared rows.
+
+    ``relative_energy`` per (subset, disorder pattern), then
+    :func:`mobius_nested` per pattern of each entry.  Returns
+    ``{sites: values}`` with the values ordered like a tabulated entry's
+    (first site's digit fastest, digits indexing the alphabet).
+    """
+    from jointgibbs.potentials import relative_energy
+
+    values = ctx.spec.disorder_values
+    sites = sorted(window)
+    out = {}
+    for k in range(1, len(sites) + 1):
+        for A in combinations(sites, k):
+            row = []
+            for combo in product(values, repeat=k):
+                eta = dict(zip(A, reversed(combo)))
+                row.append(mobius_nested(A, lambda B: relative_energy(ctx, B, eta, alpha)))
+            out[A] = row
+    return out
+
+
+def alpha_normalization_loop(table, alpha, law):
+    """Worst one-site average of any table entry, one pattern at a time.
+
+    Product measure: each entry averaged over one site's law values, the
+    other sites running over the law's values too; point mass: each entry
+    with one site at the vacuum, the others over the whole alphabet.
+    """
+    items = [(v, w) for v, w in law.items() if w > 0]
+    worst = 0.0
+    for A, entry in table.items():
+        key = A.sites
+        if not hasattr(entry, "values"):
+            worst = max(worst, abs(entry.v))
+            continue
+        for x in key:
+            others = [s for s in key if s != x]
+            if alpha.is_product:
+                for combo in product(items, repeat=len(others)):
+                    patch = {s: v for s, (v, _) in zip(others, combo)}
+                    acc = 0.0
+                    for v, w in items:
+                        patch[x] = v
+                        acc += w * entry.value(key, patch)
+                    worst = max(worst, abs(acc))
+            else:
+                for combo in product(entry.alphabet, repeat=len(others)):
+                    patch = dict(zip(others, combo))
+                    patch[x] = alpha.vacuum_fill
+                    worst = max(worst, abs(entry.value(key, patch)))
+    return worst
+
+
 def bfs_components(sites):
     """Nearest-neighbour components by breadth-first search."""
     remaining = set(sites)

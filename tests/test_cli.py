@@ -219,6 +219,11 @@ def test_potential_writes_table_and_summary(tmp_path, capsys):
     assert report_from(capsys)["summary"]["entries"] == len(table)
 
 
+def test_potential_refuses_a_large_box_before_reading_log_z(capsys):
+    assert main(["potential", "--box", "1x24"]) == 2
+    assert "table refused" in capsys.readouterr().err
+
+
 def test_potential_prunes_a_flat_model(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "cfg.json",

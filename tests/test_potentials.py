@@ -8,7 +8,7 @@ import pytest
 
 from jointgibbs.errors import CapExceededError, ConfigError, WindowMismatchError
 from jointgibbs.lattice import Box, SiteSet
-from jointgibbs.model import make_dilute, make_rfim
+from jointgibbs.model import BoundaryCondition, make_dilute, make_random_bond, make_rfim
 from jointgibbs.potentials import (
     ConstantEntry,
     NormalizingMeasure,
@@ -148,20 +148,22 @@ def test_mobius_tabulated_agrees_with_numeric_slices():
     rng = np.random.default_rng(17)
     sites = Box.from_shape(3).sites()
     values = (-1, 1)
-    cache = {}
+    rows = {}
 
-    def energy(A, eta):
-        key = (A.sites, tuple(eta[s] for s in A.sites))
-        if key not in cache:
-            cache[key] = float(rng.normal())
-        return cache[key]
+    def energy(A):
+        # one value per pattern on A, the first site's digit fastest
+        if A.sites not in rows:
+            rows[A.sites] = rng.normal(size=len(values) ** len(A))
+        return rows[A.sites]
+
+    def energy_at(A, eta):
+        index = sum(values.index(eta[s]) * len(values) ** j for j, s in enumerate(A.sites))
+        return float(energy(A)[index])
 
     table = mobius_potential(sites, energy, disorder_values=values)
     for etas in product(values, repeat=3):
         eta = dict(zip(sites, etas))
-        plain = mobius_potential(
-            sites, lambda A: energy(A, {s: eta[s] for s in A.sites})
-        )
+        plain = mobius_potential(sites, lambda A: energy_at(A, eta))
         for k in range(1, 4):
             for A in combinations(sites, k):
                 assert table.value(A, eta) == pytest.approx(
@@ -212,6 +214,111 @@ def test_alpha_normalization_flags_constants():
     assert check_alpha_normalization(table, PRODUCT, law={-1: 0.5, 1: 0.5}) == pytest.approx(
         0.3
     )
+
+
+def test_alpha_normalization_reports_a_planted_entry():
+    ctx = rfim_ctx((3,))
+    table = relative_energy_table(ctx, PRODUCT)
+    # pattern index d0 + 2 d1: site (0,)'s averages are 0.15 and 0.35 at the
+    # two values of site (1,); at the vacuum (+1) the entry reads 0.2 to 0.4
+    table.set([(0,), (1,)], TabulatedEntry([0.1, 0.2, 0.3, 0.4], (-1, 1)))
+    law = {-1: 0.5, 1: 0.5}
+    assert check_alpha_normalization(table, PRODUCT, law=law) == pytest.approx(0.35, abs=1e-15)
+    assert check_alpha_normalization(table, VACUUM_PLUS) == 0.4
+
+
+@pytest.mark.parametrize("alpha", [PRODUCT, VACUUM_PLUS], ids=["product", "vacuum"])
+def test_alpha_normalization_equals_the_per_pattern_loop(alpha):
+    for shape, nu in (((4,), {-1: 0.3, 1: 0.7}), ((2, 2), None)):
+        ctx = rfim_ctx(shape, nu=nu)
+        table = relative_energy_table(ctx, alpha)
+        table.set([(0,) * len(shape)], TabulatedEntry([0.25, -0.5], (-1, 1)))
+        law = ctx.spec.nu
+        assert check_alpha_normalization(table, alpha, law=law) == (
+            oracles.alpha_normalization_loop(table, alpha, law)
+        )
+
+
+# ---------------------------------------------------------------------------
+# the dense table against the per-pattern route
+# ---------------------------------------------------------------------------
+
+BOND = make_random_bond([[0.1, 0.9], [0.5]], d=2)
+PARITY_CASES = {
+    "rfim-free-product": (make_rfim(0.3, 0.5), (4,), None, None, PRODUCT),
+    "rfim-fixed-vacuum": (make_rfim(0.3, 0.5), (4,), 1, None, NormalizingMeasure.point_mass(-1)),
+    "rfim-window-fixed-product": (
+        make_rfim(0.45, 0.35, nu={-1: 0.3, 1: 0.7}), (5,), -1, [(1,), (2,), (3,)], PRODUCT
+    ),
+    "rfim-zero-weight-product": (
+        make_rfim(0.4, 0.6, disorder_values=(-1, 0, 1), nu={-1: 0.3, 0: 0.0, 1: 0.7}),
+        (3,), None, None, PRODUCT,
+    ),
+    "ladder-free-product": (BOND, (2, 2), None, None, PRODUCT),
+    "ladder-fixed-vacuum": (BOND, (2, 2), 1, None, NormalizingMeasure.point_mass((0.9, 0.5))),
+    "dilute-free-vacuum": (make_dilute(0.8, 0.35), (2, 2), None, None,
+                           NormalizingMeasure.point_mass(0)),
+    "dilute-fixed-product": (make_dilute(0.8, 0.35), (3,), 1, None, PRODUCT),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_relative_table_equals_the_per_pattern_route(case):
+    spec, shape, fill, window, alpha = PARITY_CASES[case]
+    bc = BoundaryCondition.free() if fill is None else BoundaryCondition.fixed(fill=fill)
+    box = Box.from_shape(*shape)
+    ctx = QKernelContext(spec, box, bc)
+    table = relative_energy_table(ctx, alpha, window=window)
+    want = oracles.subset_relative_energy_table(
+        QKernelContext(spec, box, bc), alpha, window or box.sites()
+    )
+    assert {A.sites for A in table.support()} == set(want)
+    for A, entry in table.items():
+        assert entry.values.tolist() == want[A.sites], A.sites
+    # one per-code read of every code the table needs, none batched
+    k = len(spec.disorder_values)
+    codes = ctx.n_codes if alpha.is_product else k ** len(window or box.sites())
+    assert ctx.counts["swept"] == codes
+    assert ctx.counts["batched"] == 0
+    assert ctx.counts["requests"] > codes
+
+
+def test_nested_differences_are_the_signed_subset_sums():
+    rng = np.random.default_rng(23)
+    sites = Box.from_shape(4).sites()
+    energy = random_set_function(rng, sites)
+    for A, u in oracles.mobius_signed(sites, energy).items():
+        assert oracles.mobius_nested(A, energy) == pytest.approx(u, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape,window,cap,alpha",
+    [
+        ((5,), None, 4, PRODUCT),  # the subset-transform window
+        ((12,), None, 24, VACUUM_PLUS),  # TABULATION_CAP_BITS
+        ((21,), [(0,), (1,)], 24, PRODUCT),  # EXACT_INTEGRATION_CAP_BITS
+    ],
+    ids=["window", "tabulation", "integration"],
+)
+def test_relative_table_caps_fire_before_any_read(shape, window, cap, alpha):
+    ctx = rfim_ctx(shape)
+    with pytest.raises(CapExceededError):
+        relative_energy_table(ctx, alpha, window=window, cap=cap)
+    assert ctx.counts["requests"] == 0
+
+
+def test_table_builds_each_site_set_once():
+    table = PotentialTable(Box.from_shape(3))
+    pair = SiteSet([(2,), (0,)])
+    table.set(pair, ConstantEntry(0.5))
+    table.set([(1,)], ConstantEntry(0.25))
+    first = table.support()
+    assert [A.sites for A in first] == [((0,), (2,)), ((1,),)]
+    assert first[0] is pair
+    assert all(a is b for a, b in zip(first, table.support()))
+    assert all(a is b for a, (b, _) in zip(first, table.items()))
+    table.set([(0,)], ConstantEntry(0.125))
+    assert [A.sites for A in table.support()] == [((0,),), ((0,), (2,)), ((1,),)]
 
 
 # ---------------------------------------------------------------------------

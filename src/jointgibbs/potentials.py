@@ -48,7 +48,7 @@ from .lattice import (
     linf_dist,
 )
 from .model import make_dilute
-from .qkernel import QKernelContext
+from .qkernel import QKernelContext, _pattern_digits
 from .quenched import QuenchedEnsemble
 from .stats import DEFAULT_BATCHES, batch_means
 
@@ -202,6 +202,12 @@ def relative_energy(
 # ---------------------------------------------------------------------------
 # potential tables
 # ---------------------------------------------------------------------------
+
+
+def _law_tensor(entry: "TabulatedEntry", m: int, values: Sequence) -> np.ndarray:
+    """An entry's values on ``values`` at each of its ``m`` sites; axis j is the j-th site."""
+    digits = [entry.alphabet.index(v) for v in values]
+    return entry.values.reshape((len(entry.alphabet),) * m, order="F")[np.ix_(*[digits] * m)]
 
 
 def _sites_key(A) -> tuple:
@@ -393,12 +399,6 @@ def _butterfly(vals: np.ndarray) -> None:
         # rows with bit i set, less the same row without it
         pairs = vals.reshape(1 << (n - 1 - i), 2, 1 << i, -1)
         pairs[:, 1] -= pairs[:, 0]
-
-
-def _pattern_digits(k: int, m: int) -> np.ndarray:
-    """Digit ``pos`` of every pattern index on ``m`` sites, first site fastest."""
-    idx = np.arange(k**m, dtype=np.int64)
-    return np.array([(idx // k**pos) % k for pos in range(m)]).reshape(m, k**m)
 
 
 def mobius_potential(
@@ -664,54 +664,23 @@ def reconstruct_conditional(
     delta,
     sigma_rest: Mapping,
     eta_rest: Mapping,
-    *,
-    annealed: Callable | None = None,
 ) -> dict:
     """Conditional law on ``V`` from annealed terms plus table partial sums.
 
-    The weight of a joint patch is exp(annealed weight minus the partial sum
-    of the table over ``delta``); at ``delta`` equal to the full window this
-    reproduces the exact conditional of the joint measure.  Returns
-    ``{(spins, etas): probability}`` like the direct route.
+    The weights of :meth:`QKernelContext.joint_conditional` (terms from the
+    context's tables, 0 where the law does not charge the patch), with the
+    partial sum of the table over ``delta`` at the patch's disorder in place
+    of log Z.  At ``delta`` equal to the full window this reproduces the
+    exact conditional of the joint measure.  Returns ``{(spins, etas):
+    probability}`` like the direct route.
     """
-    Vset = V if isinstance(V, SiteSet) else SiteSet(V)
-    sites = Vset.sites
-    sigma_full = dict(ctx.frozen_sigma)
-    for s in ctx.box.sites():
-        if s in Vset:
-            continue
-        if s not in sigma_rest:
-            raise ConfigError(f"conditioning spin missing at {s}")
-        sigma_full[s] = sigma_rest[s]
-    patches = list(product(ctx.spec.disorder_values, repeat=len(sites)))
-    codes = ctx.patch_codes(Vset, [dict(zip(sites, e)) for e in patches], eta_rest)
-    merged = [ctx.eta_of(c) for c in codes]
-    logw = {}
-    for spins in product(ctx.spec.spin_values, repeat=len(sites)):
-        for s, v in zip(sites, spins):
-            sigma_full[s] = v
-        for etas, eta_full in zip(patches, merged):
-            if annealed is None:
-                num = ctx.annealed_log_weight(Vset, sigma_full, eta_full)
-            else:
-                num = -sum(
-                    annealed(A, sigma_full, eta_full)
-                    for A in _annealed_sets(ctx, Vset)
-                )
-            logw[(spins, etas)] = num - partial_sum(table, Vset, delta, eta_full)
-    peak = max(logw.values())
-    weights = {k: math.exp(v - peak) for k, v in logw.items()}
-    norm = sum(weights.values())
-    return {k: w / norm for k, w in weights.items()}
+    Vset = ctx._check_window(V)
 
+    def deflate(codes: np.ndarray) -> np.ndarray:
+        sums = [partial_sum(table, Vset, delta, ctx.eta_of(c)) for c in codes.flat]
+        return np.reshape(sums, codes.shape)
 
-def _annealed_sets(ctx: QKernelContext, Vset: SiteSet) -> list:
-    sets = [A for A in ctx.term_sets if not Vset.isdisjoint(A)]
-    have = {A.sites for A in sets}
-    for x in Vset:
-        if ((x,)) not in have:
-            sets.append(SiteSet([x]))
-    return sets
+    return ctx._conditional_at(Vset, sigma_rest, eta_rest, deflate)
 
 
 # ---------------------------------------------------------------------------
@@ -722,30 +691,23 @@ def _annealed_sets(ctx: QKernelContext, Vset: SiteSet) -> list:
 def center_potential(table: PotentialTable, law: Mapping) -> PotentialTable:
     """Subtract from every entry its product-law average over the entry sites.
 
-    The average enumerates the disorder patterns of each entry exactly; the
-    centered entry is tabulated over those same patterns.
+    Each entry is read as a k^m tensor over the law's values, one axis per
+    site; the mean is one contraction with the product weights, summed in
+    ``product`` order from 0.0 with each weight multiplied left to right,
+    and the centered entry is tabulated over the law's values.
     """
     out = PotentialTable(
         table.window_box or table.window_sites, alpha=table.alpha, meta=dict(table.meta)
     )
-    items = _law_items(law)
-    values = [v for v, _ in items]
+    values, weights = zip(*_law_items(law))
     for A, entry in table.items():
-        key = A.sites
         if isinstance(entry, ConstantEntry):
-            out.set(key, ConstantEntry(0.0))
+            out.set(A, ConstantEntry(0.0))
             continue
-        mean = 0.0
-        for assign, w in _product_assignments(key, law):
-            mean += w * entry.value(key, assign)
-        k = len(items)
-        tab = np.zeros(k ** len(key))
-        for idx, combo in enumerate(product(values, repeat=len(key))):
-            j = 0
-            for pos in range(len(key)):
-                j += values.index(combo[pos]) * k**pos
-            tab[j] = entry.value(key, dict(zip(key, combo))) - mean
-        out.set(key, TabulatedEntry(tab, values))
+        tensor = _law_tensor(entry, len(A), values)
+        w = functools.reduce(np.multiply.outer, [weights] * len(A), np.ones(()))
+        mean = np.add.accumulate(np.append(0.0, (w * tensor).ravel()))[-1]
+        out.set(A, TabulatedEntry(tensor.ravel(order="F") - mean, values))
     return out
 
 
@@ -753,7 +715,6 @@ def check_alpha_normalization(
     table: PotentialTable,
     alpha: NormalizingMeasure,
     law: Mapping | None = None,
-    eta: Mapping | None = None,
 ) -> float:
     """Worst one-site average of any entry (zero for a normalized table).
 
@@ -766,23 +727,21 @@ def check_alpha_normalization(
         if isinstance(entry, ConstantEntry):
             worst = max(worst, abs(entry.v))
             continue
-        k, m = len(entry.alphabet), len(A)
-        # axis j of the tensor is the digit of the entry's j-th site
-        tensor = entry.values.reshape((k,) * m, order="F")
+        m = len(A)
         if alpha.is_product:
             use_law = law if law is not None else dict(alpha.nu or {})
             if not use_law:
                 raise ConfigError("need a law to average against")
             items = _law_items(use_law)
             # every site runs over the law's values only
-            digits = [entry.alphabet.index(v) for v, _ in items]
-            tensor = tensor[np.ix_(*[digits] * m)]
+            tensor = _law_tensor(entry, m, [v for v, _ in items])
             for axis in range(m):
                 acc = 0.0
                 for i, (_, w) in enumerate(items):
                     acc = acc + w * tensor.take(i, axis=axis)
                 worst = max(worst, float(np.abs(acc).max()))
         else:
+            tensor = _law_tensor(entry, m, entry.alphabet)
             vacuum = entry.alphabet.index(alpha.vacuum_fill)
             for axis in range(m):
                 worst = max(worst, float(np.abs(tensor.take(vacuum, axis=axis)).max()))

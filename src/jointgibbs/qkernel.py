@@ -17,7 +17,11 @@ A :class:`QKernelContext` also evaluates the conditional law of the joint
 the exponential of minus the annealed terms touching it, deflated by the
 partition function at its disorder — the extra Z-factor is exactly what a
 plain Gibbs form lacks, and everything downstream quantifies how far it can
-be folded back into an interaction.
+be folded back into an interaction.  The terms come from the context's
+tables, tabulated once per local disorder pattern; log Z is read by code
+through :meth:`QKernelContext.logz`; a patch whose disorder the law does not
+charge gets probability 0.  One core serves a single conditioning, every
+conditioning at once, and the reconstruction from a potential table.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ JOINT_WINDOW_CAP = 4  # max |V| for single-call joint conditionals
 ROW_TABLE_CAP = 1 << 21  # max entries (float64) of a context's batched row table
 
 
+def _pattern_digits(k: int, m: int) -> np.ndarray:
+    """Digit ``pos`` of every pattern index on ``m`` sites, first site fastest."""
+    return np.arange(k**m, dtype=np.int64) // k ** np.arange(m, dtype=np.int64)[:, None] % k
+
+
 class _RowTable:
     """Every term table of a context, spread over all spin configurations.
 
@@ -52,48 +61,42 @@ class _RowTable:
 
     def __init__(self, ctx: "QKernelContext"):
         self.rows = None
-        ens = ctx.ensemble(ctx.eta_of(0))
-        q, n = ens.q, len(ens.free_sites)
+        q, n = len(ctx.spec.spin_values), len(ctx._box_sites)
         if q**n > engine._NUMPY_CHUNK or ctx.n_codes > 1 << 63:
             return
-        k = len(ctx.spec.disorder_values)
-        pos = {s: i for i, s in enumerate(ctx.eta_domain)}
+        terms, _, eta_weights = ctx._term_arrays()
         fixed, varying = [], []
-        for A in ctx.term_sets:
-            tables = ens.pattern_tables(A)
-            if not all(np.isfinite(t).all() for _, t in tables):
+        for t, (sites, stack) in enumerate(terms):
+            if not np.isfinite(stack).all():
                 return
             index: dict = {}
             uniq, row_of = [], []
-            for _, t in tables:
-                row_of.append(index.setdefault(t.tobytes(), len(uniq)))
+            for table in stack:
+                row_of.append(index.setdefault(table.tobytes(), len(uniq)))
                 if row_of[-1] == len(uniq):
-                    uniq.append(t)
-            (fixed if len(uniq) == 1 else varying).append((A, tables[0][0], uniq, row_of))
+                    uniq.append(table)
+            (fixed if len(uniq) == 1 else varying).append((t, sites, uniq, row_of))
         n_rows = 1 + sum(len(uniq) for _, _, uniq, _ in varying)
         if n_rows * q**n > ROW_TABLE_CAP:
             return
         rows = np.zeros((n_rows, q**n))
         for _, sites, uniq, _ in fixed:
             rows[0] += engine.spread_tables(q, n, sites, uniq)[0]
-        # lut[offsets[t] + pattern] is the row term t adds at that pattern
-        weights = np.zeros((len(ctx.eta_domain), len(varying)), dtype=np.int64)
+        # lut[offsets[v] + pattern] is the row the v-th varying term adds at that pattern
         offsets = np.zeros(len(varying), dtype=np.int64)
         lut, top = [], 1
-        for t, (A, sites, uniq, row_of) in enumerate(varying):
-            for j, s in enumerate(A.sites):
-                weights[pos[s], t] = k**j
-            offsets[t] = len(lut)
+        for v, (_, sites, uniq, row_of) in enumerate(varying):
+            offsets[v] = len(lut)
             lut.extend(top + r for r in row_of)
             rows[top:top + len(uniq)] = engine.spread_tables(q, n, sites, uniq)
             top += len(uniq)
         rows.flags.writeable = False
         self.rows = rows
-        self.weights = weights
+        self.weights = eta_weights[:, [t for t, _, _, _ in varying]]
         self.offsets = offsets
         self.lut = np.array(lut, dtype=np.intp)
         self.strides = ctx.strides()
-        self.k = k
+        self.k = len(ctx.spec.disorder_values)
 
     def __bool__(self) -> bool:
         return self.rows is not None
@@ -160,6 +163,7 @@ class QKernelContext:
         self._logz: dict = {}
         self._mean_logz: dict = {}
         self._term_tables: dict = {}
+        self._arrays: tuple | None = None  # built on the first read, see _term_arrays
         self._rows: _RowTable | None = None  # built on the first batch
         self.counts = {"requests": 0, "swept": 0, "batched": 0, "batches": 0}
 
@@ -411,17 +415,92 @@ class QKernelContext:
 
     # -- conditional law of the joint measure ------------------------------------
 
-    def annealed_log_weight(
-        self, V: SiteSet, sigma_full: Mapping, eta_full: Mapping
-    ) -> float:
-        """Minus the annealed terms meeting ``V`` (the numerator exponent)."""
-        total = 0.0
-        for A in self.term_sets:
-            if not V.isdisjoint(A):
-                total -= self.spec.phi(A, sigma_full, eta_full)
-        for x in V:
-            total += self.spec.log_nu(eta_full[x])
-        return total
+    def _term_arrays(self) -> tuple:
+        """The context's terms as arrays, built once: ``(terms, spin_weights, eta_weights)``.
+
+        ``terms[t]`` is :meth:`QuenchedEnsemble.pattern_tables` of
+        ``term_sets[t]``: its spins' indices among the box's sites and its
+        tables, one row per disorder pattern on its sites.  Box spin digits
+        times ``spin_weights[:, t]`` give a table's column, domain disorder
+        digits times ``eta_weights[:, t]`` its row.
+        """
+        if self._arrays is None:
+            q, k = len(self.spec.spin_values), len(self.spec.disorder_values)
+            ens = self.ensemble(self.eta_of(0))
+            terms = []
+            spin_weights = np.zeros((len(self._box_sites), len(self.term_sets)), dtype=np.int64)
+            eta_weights = np.zeros((len(self.eta_domain), len(self.term_sets)), dtype=np.int64)
+            for t, A in enumerate(self.term_sets):
+                free, stack = ens.pattern_tables(A)
+                stack.flags.writeable = False
+                terms.append((free, stack))
+                spin_weights[list(free), t] = q ** np.arange(len(free))
+                eta_weights[list(map(self.eta_domain.index, A.sites)), t] = k ** np.arange(len(A))
+            self._arrays = (terms, spin_weights, eta_weights)
+        return self._arrays
+
+    def _window(self, V, cap: int) -> SiteSet:
+        Vset = self._check_window(V)
+        if len(Vset) > cap:
+            raise CapExceededError("joint conditional window", len(Vset), cap)
+        return Vset
+
+    def _conditional_table(self, Vset: SiteSet, spin_rows, rest_codes, deflate) -> tuple:
+        """The joint patches on ``Vset`` and their probabilities per conditioning.
+
+        ``spin_rows`` holds box spin digits, one row per spin conditioning;
+        ``rest_codes`` one disorder code per disorder conditioning; both have
+        digit 0 on ``Vset``.  ``deflate`` maps an int64 array of patch codes
+        to values of its shape.  Returns ``(patches, table)``: the patches
+        spins outer and disorder inner, each in ``product`` order, and
+        ``table[i, j, p]`` the probability of patch ``p`` at spin row ``i``
+        and disorder row ``j``.  A patch's log weight is minus the terms
+        meeting ``Vset``, plus log nu on ``Vset``, less the deflation at the
+        patch's code; a patch the law does not charge gets probability 0.
+        """
+        spec = self.spec
+        q, k, m = len(spec.spin_values), len(spec.disorder_values), len(Vset)
+        terms, spin_weights, eta_weights = self._term_arrays()
+        meet = [t for t, A in enumerate(self.term_sets) if not Vset.isdisjoint(A)]
+        spin_w, eta_w = spin_weights[:, meet], eta_weights[:, meet]
+        # digits of the patches in product order: the first site slowest
+        spin_patch, eta_patch = (_pattern_digits(b, m)[::-1].T for b in (q, k))
+        strides, domain = self.strides(), self.eta_domain
+        place = [strides[domain.index(s)] if s in domain else 0 for s in Vset.sites]
+        codes = (eta_patch @ np.array(place, dtype=np.int64))[:, None] + np.asarray(rest_codes)
+        # per term: its table column at (spin patch, spin row), its row at (disorder
+        # patch, disorder row); patch axes lead, so the reductions run over whole slices
+        on_window = spin_w[[self._box_sites.sites.index(s) for s in Vset.sites]]
+        column = (spin_patch @ on_window)[:, None] + spin_rows @ spin_w
+        row = (codes[..., None] // strides % k) @ eta_w
+        logw = np.zeros((q**m, len(spin_rows)) + codes.shape)
+        for j, t in enumerate(meet):
+            logw -= terms[t][1].T[column[..., j]].take(row[..., j], axis=2)
+        with np.errstate(divide="ignore"):  # an uncharged value has log nu = -inf
+            log_nu = np.log([spec.nu_weight(v) for v in spec.disorder_values])
+        logw += log_nu[eta_patch].sum(axis=1)[:, None]
+        logw -= deflate(codes)
+        logw -= logw.max(axis=(0, 2), keepdims=True)
+        np.exp(logw, out=logw)
+        logw /= logw.sum(axis=(0, 2), keepdims=True)
+        spins, etas = (product(v, repeat=m) for v in (spec.spin_values, spec.disorder_values))
+        table = logw.transpose(1, 3, 0, 2).reshape(len(spin_rows), codes.shape[1], -1)
+        return list(product(spins, etas)), table
+
+    def _conditional_at(self, Vset: SiteSet, sigma_rest: Mapping, eta_rest: Mapping, deflate):
+        """:meth:`_conditional_table` at one conditioning, as a patch dict."""
+        digit = {v: d for d, v in enumerate(self.spec.spin_values)}
+        row = []
+        for s in self._box_sites.sites:
+            if s not in Vset and (s not in sigma_rest or sigma_rest[s] not in digit):
+                raise ConfigError(
+                    f"conditioning spin at {s} is missing or not in the alphabet "
+                    f"{self.spec.spin_values!r}"
+                )
+            row.append(0 if s in Vset else digit[sigma_rest[s]])
+        rest = self.code({**eta_rest, **dict.fromkeys(Vset.sites, self.spec.disorder_values[0])})
+        patches, table = self._conditional_table(Vset, np.array([row]), [rest], deflate)
+        return dict(zip(patches, table[0, 0].tolist()))
 
     def joint_conditional(
         self,
@@ -435,36 +514,12 @@ class QKernelContext:
         Returns ``{(spin tuple, disorder tuple): probability}`` over joint
         patches on ``V`` (tuples ordered like ``sorted(V)``), conditioning on
         spins elsewhere in the box and disorder elsewhere in the domain.  The
-        weight of a patch divides out the partition function at the patch's
-        disorder before normalizing.
+        weight of a patch is minus the terms meeting ``V``, read from the
+        context's term tables, plus log nu on ``V``, less log Z at the
+        patch's code, read through :meth:`logz`; a patch whose disorder the
+        law does not charge gets 0.
         """
-        Vset = self._check_window(V)
-        if len(Vset) > cap:
-            raise CapExceededError("joint conditional window", len(Vset), cap)
-        sites = Vset.sites
-        sigma_full = dict(self.frozen_sigma)
-        for s in self.box.sites():
-            if s in Vset:
-                continue
-            if s not in sigma_rest:
-                raise ConfigError(f"conditioning spin missing at {s}")
-            sigma_full[s] = sigma_rest[s]
-
-        patches = list(product(self.spec.disorder_values, repeat=len(sites)))
-        codes = self.patch_codes(Vset, [dict(zip(sites, e)) for e in patches], eta_rest)
-        merged = [(self.eta_of(c), self._logz_at(c)) for c in codes]
-        logw = {}
-        for spins in product(self.spec.spin_values, repeat=len(sites)):
-            for s, v in zip(sites, spins):
-                sigma_full[s] = v
-            for etas, (eta_full, logz) in zip(patches, merged):
-                logw[(spins, etas)] = (
-                    self.annealed_log_weight(Vset, sigma_full, eta_full) - logz
-                )
-        peak = max(logw.values())
-        weights = {k: math.exp(v - peak) for k, v in logw.items()}
-        norm = sum(weights.values())
-        return {k: w / norm for k, w in weights.items()}
+        return self._conditional_at(self._window(V, cap), sigma_rest, eta_rest, self.logz)
 
     def joint_conditional_all(self, V, cap: int = JOINT_WINDOW_CAP):
         """Conditional tables for every conditioning configuration at once.
@@ -473,106 +528,21 @@ class QKernelContext:
         ``table[i, j, k]`` is the probability of joint patch ``patches[k]``
         given the i-th spin assignment on ``rest_spin_sites`` and the j-th
         disorder assignment on ``rest_eta_sites`` (mixed-radix enumeration,
-        first site least significant).  Vectorized over everything; the
-        single-call route spot-checks it.
+        first site least significant).  The weights of :meth:`joint_conditional`
+        (terms from the context's tables, 0 where the law does not charge the
+        patch), with every log Z read by code in one :meth:`logz` call.
         """
-        Vset = self._check_window(V)
-        if len(Vset) > cap:
-            raise CapExceededError("joint conditional window", len(Vset), cap)
-        sites = Vset.sites
-        qs = len(self.spec.spin_values)
-        qe = len(self.spec.disorder_values)
-        box_sites = tuple(self.box.sites())
-        rest_spin_sites = tuple(s for s in box_sites if s not in Vset)
-        rest_eta_sites = tuple(s for s in self.eta_domain if s not in Vset)
-        n_rs = qs ** len(rest_spin_sites)
-        n_re = qe ** len(rest_eta_sites)
-        patches = [
-            (spins, etas)
-            for spins in product(self.spec.spin_values, repeat=len(sites))
-            for etas in product(self.spec.disorder_values, repeat=len(sites))
-        ]
-        if n_rs * n_re * len(patches) > 1 << 26:
-            raise CapExceededError(
-                "joint conditional batch",
-                int(math.log2(max(2, n_rs * n_re * len(patches)))),
-                26,
-            )
-
-        spin_digits = {
-            s: (np.arange(n_rs, dtype=np.int64) // qs**i) % qs
-            for i, s in enumerate(rest_spin_sites)
-        }
-        eta_digits = {
-            s: (np.arange(n_re, dtype=np.int64) // qe**i) % qe
-            for i, s in enumerate(rest_eta_sites)
-        }
-        eta_vals = list(self.spec.disorder_values)
-
-        # log Z at every (rest, window) disorder pair, the window in patch order
-        stride = dict(zip(self.eta_domain, self.strides().tolist()))
-        rest_part = sum(
-            (eta_digits[s] * stride[s] for s in rest_eta_sites), np.zeros(n_re, dtype=np.int64)
-        )
-        window_part = [
-            sum(eta_vals.index(e) * stride.get(s, 0) for s, e in zip(sites, etas))
-            for etas in product(eta_vals, repeat=len(sites))
-        ]
-        logz = self.logz(rest_part[:, None] + np.array(window_part, dtype=np.int64))
-
-        table = np.zeros((n_rs, n_re, len(patches)))
-        for k, (spins, etas) in enumerate(patches):
-            # spin-dependent annealed terms: vectorize over rest assignments
-            log_num = np.zeros((n_rs, n_re))
-            log_num -= logz[None, :, k % len(window_part)]
-            for x, e in zip(sites, etas):
-                log_num += self.spec.log_nu(e)
-            patch_sigma = dict(zip(sites, spins))
-            patch_eta = dict(zip(sites, etas))
-            for A in self.term_sets:
-                if Vset.isdisjoint(A):
-                    continue
-                contrib = self._term_over_rest(
-                    A, patch_sigma, patch_eta, spin_digits, eta_digits,
-                    rest_spin_sites, rest_eta_sites, n_rs, n_re,
-                )
-                log_num -= contrib
-            table[:, :, k] = log_num
-        peak = table.max(axis=2, keepdims=True)
-        np.exp(table - peak, out=table)
-        table /= table.sum(axis=2, keepdims=True)
-        return rest_spin_sites, rest_eta_sites, patches, table
-
-    def _term_over_rest(
-        self, A, patch_sigma, patch_eta, spin_digits, eta_digits,
-        rest_spin_sites, rest_eta_sites, n_rs, n_re,
-    ) -> np.ndarray:
-        """One interaction term evaluated for every conditioning assignment."""
-        spin_vals = list(self.spec.spin_values)
-        eta_vals = list(self.spec.disorder_values)
-        free_spin = [s for s in A if s in set(rest_spin_sites)]
-        free_eta = [s for s in A if s in set(rest_eta_sites)]
-        qs, qe = len(spin_vals), len(eta_vals)
-        out = np.zeros((n_rs, n_re))
-        sigma = dict(patch_sigma)
-        for s in A:
-            if s not in sigma and s not in set(free_spin):
-                sigma[s] = self.frozen_sigma[s]
-        eta = dict(patch_eta)
-        # enumerate the term's own free digits, paint the value by mask
-        for sp_combo in product(range(qs), repeat=len(free_spin)):
-            for s, dgt in zip(free_spin, sp_combo):
-                sigma[s] = spin_vals[dgt]
-            mask_s = np.ones(n_rs, dtype=bool)
-            for s, dgt in zip(free_spin, sp_combo):
-                mask_s &= spin_digits[s] == dgt
-            for et_combo in product(range(qe), repeat=len(free_eta)):
-                for s, dgt in zip(free_eta, et_combo):
-                    eta[s] = eta_vals[dgt]
-                mask_e = np.ones(n_re, dtype=bool)
-                for s, dgt in zip(free_eta, et_combo):
-                    mask_e &= eta_digits[s] == dgt
-                v = self.spec.phi(A, sigma, eta)
-                if v != 0.0:
-                    out[np.ix_(mask_s, mask_e)] += v
-        return out
+        Vset = self._window(V, cap)
+        q, k = len(self.spec.spin_values), len(self.spec.disorder_values)
+        spin_cols = [i for i, s in enumerate(self._box_sites.sites) if s not in Vset]
+        eta_cols = [i for i, s in enumerate(self.eta_domain) if s not in Vset]
+        n_rs, n_re = q ** len(spin_cols), k ** len(eta_cols)
+        size = n_rs * n_re * (q * k) ** len(Vset)
+        if size > 1 << 26:
+            raise CapExceededError("joint conditional batch", int(math.log2(size)), 26)
+        spin_rows = np.zeros((n_rs, len(self._box_sites)), dtype=np.int64)
+        spin_rows[:, spin_cols] = _pattern_digits(q, len(spin_cols)).T
+        rest_codes = _pattern_digits(k, len(eta_cols)).T @ self.strides()[eta_cols]
+        patches, table = self._conditional_table(Vset, spin_rows, rest_codes, self.logz)
+        rest_spin_sites = tuple(self._box_sites.sites[i] for i in spin_cols)
+        return rest_spin_sites, tuple(self.eta_domain[i] for i in eta_cols), patches, table

@@ -133,17 +133,18 @@ class QuenchedEnsemble:
             self.q, *self._term_table(A, lambda sigma: self.spec.phi(A, sigma, eta))
         )
 
-    def pattern_tables(self, A: SiteSet) -> list:
-        """The normalized table of the term on ``A`` at every disorder pattern on ``A``.
+    def pattern_tables(self, A: SiteSet) -> tuple:
+        """The term on ``A`` at every disorder pattern on ``A``: ``(sites, tables)``.
 
-        Patterns are mixed-radix over ``A.sites``, first site least
-        significant, each digit an index into ``spec.disorder_values``.
+        ``sites``: free-site indices as in :func:`engine.normalize_term`; row p
+        of ``tables``: the table at pattern p, mixed-radix over ``A.sites``
+        (first site least significant, digits index ``spec.disorder_values``).
         """
-        values = self.spec.disorder_values
-        return [
+        tables = [
             self._local_table(A, dict(zip(A.sites, pattern[::-1])))
-            for pattern in product(values, repeat=len(A.sites))
+            for pattern in product(self.spec.disorder_values, repeat=len(A.sites))
         ]
+        return tables[0][0], np.stack([table for _, table in tables])
 
     def _term_table(self, A: SiteSet, fn: Callable):
         """Table of ``fn(sigma_map)`` over the free digits of one interaction set."""

@@ -259,6 +259,38 @@ def alpha_normalization_loop(table, alpha, law):
     return worst
 
 
+def center_potential_loop(table, law):
+    """Every entry less its product-law mean, one disorder pattern at a time.
+
+    The mean sums ``weight * value`` from 0.0 over ``product`` order of the
+    law's values, each weight multiplied left to right from 1.0; the
+    centered entry is tabulated over the law's values, first site fastest.
+    Returns ``{sites: (values, alphabet)}``, with ``None`` for a constant
+    entry (centered to 0.0).
+    """
+    items = [(v, w) for v, w in law.items() if w > 0]
+    values = [v for v, _ in items]
+    k = len(items)
+    out = {}
+    for A, entry in table.items():
+        key = A.sites
+        if not hasattr(entry, "values"):
+            out[key] = None
+            continue
+        mean = 0.0
+        for combo in product(items, repeat=len(key)):
+            w = 1.0
+            for _, wv in combo:
+                w *= wv
+            mean += w * entry.value(key, {s: v for s, (v, _) in zip(key, combo)})
+        tab = [0.0] * k ** len(key)
+        for combo in product(values, repeat=len(key)):
+            j = sum(values.index(v) * k**pos for pos, v in enumerate(combo))
+            tab[j] = entry.value(key, dict(zip(key, combo))) - mean
+        out[key] = (tab, tuple(values))
+    return out
+
+
 def bfs_components(sites):
     """Nearest-neighbour components by breadth-first search."""
     remaining = set(sites)

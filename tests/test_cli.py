@@ -129,6 +129,19 @@ def test_check_passes_on_a_small_box(tmp_path, capsys):
     assert "out" not in manifest["config"]
 
 
+def test_check_passes_with_a_zero_weight_alphabet_value(tmp_path, capsys):
+    # the reconstruction section conditions on a window whose patches include
+    # the uncharged value; they get probability 0, not a usage error
+    cfg = {"model": {"model": "rfim", "J": 0.3, "h": 0.5,
+                     "nu": {"-1": 0.25, "0": 0.0, "1": 0.75}},
+           "box": "2x2x2", "trials": 10, "seed": 7}
+    path = write_config(tmp_path, "zero.json", cfg)
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    report = report_from(capsys)
+    assert report["pass"] is True
+    assert "reconstruction" in {s["name"] for s in report["sections"]}
+
+
 def test_manifest_records_the_log_z_counts(tmp_path, capsys):
     def counts(argv, name):
         out = tmp_path / name

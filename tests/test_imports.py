@@ -1,8 +1,10 @@
-"""Every name a library module imports is read somewhere in that module.
+"""Every import is read in its module; every private definition in the package.
 
-A stdlib AST scan stands in for a linter: an import left behind by a deletion
-is reported with its module and line.  ``__init__.py`` is skipped because its
-imports are the package's public re-exports.
+Stdlib AST scans stand in for a linter.  An import left behind by a deletion
+is reported with its module and line; ``__init__.py`` is skipped because its
+imports are the package's public re-exports.  A private function, method or
+class (one leading underscore) that no module of the package reads, as a name
+or an attribute, is reported the same way: a helper orphaned by a deletion.
 """
 
 import ast
@@ -30,6 +32,23 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
+def unread_private_definitions(sources: dict) -> list:
+    """``(module, line, name)`` of each private definition no source reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((module, node.lineno, node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(d for d in defined if d[2] not in read)
+
+
 def test_scan_flags_an_unread_import():
     source = "import math\nfrom typing import Mapping, Sequence\nx: Mapping = math.pi\n"
     assert unused_imports(source) == [(2, "Sequence")]
@@ -42,4 +61,20 @@ def test_library_modules_read_every_import():
             continue
         for line, name in unused_imports(path.read_text()):
             found.append(f"{path.name}:{line}: {name}")
+    assert found == []
+
+
+def test_scan_flags_an_unread_private_definition():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _orphan():\n    pass\n\nclass _Kept:\n"
+                "    def _helper(self):\n        return _used()\n"
+                "    def __repr__(self):\n        return ''\n",
+        "b.py": "from a import _Kept\n",
+    }
+    assert unread_private_definitions(sources) == [("a.py", 4, "_orphan"), ("a.py", 8, "_helper")]
+
+
+def test_library_reads_every_private_definition():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    found = [f"{module}:{line}: {name}" for module, line, name in unread_private_definitions(sources)]
     assert found == []

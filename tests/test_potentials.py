@@ -486,6 +486,32 @@ def test_center_exact_removes_the_mean():
         assert mean == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "alpha,law",
+    [
+        (PRODUCT, {-1: 0.3, 1: 0.7}),
+        (VACUUM_PLUS, {-1: 0.3, 1: 0.7}),
+        # a zero-weight value drops out of the centered alphabet
+        (PRODUCT, {1: 0.6, -1: 0.4, 0: 0.0}),
+    ],
+    ids=["product", "vacuum", "zero-weight"],
+)
+def test_center_equals_the_per_pattern_loop(alpha, law):
+    spec = make_rfim(J=0.45, h=0.35, disorder_values=tuple(sorted(law)), nu=law)
+    ctx = QKernelContext(spec, Box.from_shape(5))
+    table = relative_energy_table(ctx, alpha)
+    out = center_potential(table, spec.nu)
+    want = oracles.center_potential_loop(table, spec.nu)
+    assert sorted(A.sites for A, _ in out.items()) == sorted(want)
+    for A, entry in out.items():
+        if want[A.sites] is None:
+            assert entry.v == 0.0
+            continue
+        values, alphabet = want[A.sites]
+        assert entry.alphabet == alphabet
+        assert entry.values.tolist() == values
+
+
 def test_epsilon_diagnostic_does_not_depend_on_the_alphabet_order():
     # same law, same stream, same log Z per configuration: only the disorder
     # codes differ, through the alphabet's order and an undrawn value

@@ -158,7 +158,7 @@ def _record_misses(monkeypatch, ctx):
     return swept, batched
 
 
-@pytest.mark.parametrize("route", ["log_q", "logz", "cbar", "epsilon"])
+@pytest.mark.parametrize("route", ["log_q", "logz", "cbar", "epsilon", "joint_conditional"])
 def test_every_miss_is_swept_inside_log_partition_at_once_per_code(monkeypatch, route):
     # a single-code read sweeps its miss inside log_partition_at; array reads
     # on a box that fits one engine chunk evaluate theirs as batches; either
@@ -185,6 +185,11 @@ def test_every_miss_is_swept_inside_log_partition_at_once_per_code(monkeypatch, 
         ctx.logz(rng.integers(0, ctx.n_codes, size=50))
     elif route == "cbar":
         cbar(ctx, 2, samples=16, seed=3, batches=8)
+    elif route == "joint_conditional":
+        for _ in range(20):
+            V = [box.sites()[int(i)] for i in rng.choice(6, size=2, replace=False)]
+            rest = [s for s in ctx.eta_domain if s not in V]
+            ctx.joint_conditional(V, rand_eta(rng, rest, spec.spin_values), rand_eta(rng, rest, values))
     else:
         epsilon_diagnostic(ctx, (2,), (1, 2), samples=16, seed=3, batches=8)
     assert not swept, "a miss on an enumerable box was swept one code at a time"
@@ -533,6 +538,86 @@ def test_joint_conditional_all_matches_single_calls(shape, V):
             single = ctx.joint_conditional(V, sigma_rest, eta_rest)
             for k, patch in enumerate(patches):
                 assert table[i, j, k] == pytest.approx(single[patch], abs=1e-12)
+
+
+def test_joint_conditional_all_matches_brute_with_fixed_boundary():
+    # frozen collar spins enter through the term tables; rows whose collar
+    # disorder differs from the oracle's are other conditionings
+    J, h = 0.5, 0.3
+    spec = make_rfim(J=J, h=h, nu={-1: 0.35, 1: 0.65})
+    box = Box.from_shape(3)
+    sites = box.sites()
+    collar = [(-1,), (3,)]
+    ctx = QKernelContext(spec, box, BoundaryCondition.fixed(fill=-1))
+    frozen = {s: -1 for s in collar}
+    collar_eta = {(-1,): 1, (3,): -1}
+
+    def energy_of(sig, eta):
+        return oracles.rfim_energy(J, h, sites, {**eta, **collar_eta}, frozen=frozen)(sig)
+
+    joint = oracles.brute_joint_table(
+        sites, spec.spin_values, spec.disorder_values, spec.nu, energy_of
+    )
+    for V in ([(1,)], [(0,), (2,)]):
+        rest_spin_sites, rest_eta_sites, patches, table = ctx.joint_conditional_all(V)
+        assert set(collar) <= set(rest_eta_sites)
+        buckets = oracles.brute_conditional(joint, sites, V)
+        checked = 0
+        for i, j in product(range(table.shape[0]), range(table.shape[1])):
+            eta_rest = {
+                s: spec.disorder_values[j // 2**pos % 2] for pos, s in enumerate(rest_eta_sites)
+            }
+            if any(eta_rest[s] != v for s, v in collar_eta.items()):
+                continue
+            spins = tuple(spec.spin_values[i // 2**pos % 2] for pos in range(len(rest_spin_sites)))
+            etas = tuple(eta_rest[s] for s in rest_spin_sites)
+            want = buckets[(spins, etas)]
+            for k, patch in enumerate(patches):
+                assert table[i, j, k] == pytest.approx(want[patch], abs=1e-12)
+            checked += 1
+        assert checked == 2 ** (2 * len(rest_spin_sites))
+
+
+@pytest.mark.parametrize("V", [[(1,)], [(0,), (2,)]])
+def test_zero_weight_disorder_value_gets_probability_zero(V):
+    # a value the law does not charge must not reach log nu: its patches get
+    # exactly 0, and the others match the model without that value
+    box = Box.from_shape(3)
+    wide = QKernelContext(make_rfim(J=0.4, h=0.6, disorder_values=(-1, 0, 1),
+                                    nu={-1: 0.25, 0: 0.0, 1: 0.75}), box)
+    narrow = QKernelContext(make_rfim(J=0.4, h=0.6, nu={-1: 0.25, 1: 0.75}), box)
+    rest_spin_sites, rest_eta_sites, patches, table = wide.joint_conditional_all(V)
+    _, _, narrow_patches, narrow_table = narrow.joint_conditional_all(V)
+    at = {patch: k for k, patch in enumerate(patches)}
+    zero = [k for k, (_, etas) in enumerate(patches) if 0 in etas]
+    assert zero and (table[:, :, zero] == 0.0).all()
+    # a narrow disorder row is the wide row with digit d -> 2 d (-1 -> 0, 1 -> 2)
+    n = len(rest_eta_sites)
+    rows = [sum(2 * (j // 2**pos % 2) * 3**pos for pos in range(n)) for j in range(2**n)]
+    cols = [at[patch] for patch in narrow_patches]
+    assert np.abs(table[:, rows][:, :, cols] - narrow_table).max() <= 1e-12
+
+    rng = np.random.default_rng(61)
+    for _ in range(6):
+        sigma_rest = {s: int(rng.choice([-1, 1])) for s in rest_spin_sites}
+        eta_rest = {s: int(rng.choice([-1, 1])) for s in rest_eta_sites}
+        got = wide.joint_conditional(V, sigma_rest, eta_rest)
+        want = narrow.joint_conditional(V, sigma_rest, eta_rest)
+        for patch, p in got.items():
+            assert p == (pytest.approx(want[patch], abs=1e-12) if 0 not in patch[1] else 0.0)
+
+
+def test_conditioning_spin_outside_the_alphabet_is_refused():
+    spec = make_rfim(J=0.3, h=0.1)
+    box = Box.from_shape(3)
+    ctx = QKernelContext(spec, box)
+    eta_rest = {(0,): 1, (2,): -1}
+    with pytest.raises(ConfigError, match="not in the alphabet"):
+        ctx.joint_conditional([(1,)], {(0,): 1, (2,): 0}, eta_rest)
+    with pytest.raises(ConfigError, match="missing"):
+        ctx.joint_conditional([(1,)], {(0,): 1}, eta_rest)
+    with pytest.raises(ConfigError):
+        ctx.joint_conditional([(1,)], {(0,): 1, (2,): 1}, {(0,): 1})
 
 
 def test_joint_conditional_window_cap():

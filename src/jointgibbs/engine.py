@@ -9,9 +9,10 @@ partition function is then a sum over all ``q^n`` configurations of
 The exhaustive sweep is chunked numpy: it gathers term tables over blocks
 of configuration codes and rescales its running sums whenever a block lowers
 the minimum energy.  Where a block reads each table depends only on the
-term sites, so a sweep that fits in one block keeps that index, and the
-transfer matrix its column plan and partial indices, for the last geometry
-it saw.
+term sites, so a sweep that fits in one block keeps that index for the last
+geometry it saw.  So does the transfer matrix, with its column plan and one
+gather index per column into the concatenated term tables: a column's
+energies are one gather and one sum over its terms.
 
 Many systems that share one box can also be summed together: when each
 term's table is one of a few rows spread over all configurations, a block of
@@ -361,65 +362,64 @@ def _plan(q: int, coords: tuple, term_sites: tuple, state_cap: int):
 
 
 @functools.lru_cache(maxsize=1)
-def _transfer_index(q: int, columns: tuple, term_sites: tuple) -> tuple:
-    """Per term, where a transfer sweep reads its table.
+def _gather_index(q: int, columns: tuple, term_sites: tuple) -> tuple:
+    """Where a transfer sweep reads the concatenated term tables.
 
-    Each entry is ``(column, ia, ib)``.  A term inside one column reads its
-    table at ``ia`` over that column's states, and ``ib`` is None.  A term
-    across columns ``column - 1`` and ``column`` reads it at
-    ``ia[:, None] + ib[None, :]``.
+    Returns ``(intra, inter)``, one read-only index per column, each over
+    its terms in term order.  ``intra[c]`` has shape (terms inside column
+    ``c``, states of ``c``); ``inter[c]`` has shape (terms across columns
+    ``c - 1`` and ``c``, states of ``c - 1``, states of ``c``), and
+    ``inter[0]`` is None.  A position is the term's offset in the
+    concatenation plus its local code.
     """
-    pos_in_col = {}
+    place = {}
     for c, sites in enumerate(columns):
         for j, s in enumerate(sites):
-            pos_in_col[s] = (c, j)
-
-    def partial_index(c, sites):
-        # local term index contributed by column c's digits
-        codes = np.arange(q ** len(columns[c]), dtype=np.int64)
-        idx = np.zeros(codes.shape, dtype=np.int64)
-        for k, s in enumerate(sites):
-            col, j = pos_in_col[s]
-            if col == c:
-                idx += ((codes // q**j) % q) * q**k
-        idx.flags.writeable = False
-        return idx
-
-    parts = []
+            place[s] = (c, j)
+    codes = [np.arange(q ** len(sites), dtype=np.intp) for sites in columns]
+    intra: list = [[] for _ in columns]
+    inter: list = [[] for _ in columns]
+    offset = 0
     for sites in term_sites:
-        touched = sorted({pos_in_col[s][0] for s in sites})
-        if len(touched) == 1:
-            parts.append((touched[0], partial_index(touched[0], sites), None))
+        parts: dict = {}  # column -> local code contributed by its digits
+        for k, s in enumerate(sites):
+            c, j = place[s]
+            parts[c] = parts.get(c, 0) + codes[c] // q**j % q * q**k
+        if len(parts) == 1:
+            ((c, local),) = parts.items()
+            intra[c].append(offset + local)
         else:
-            c0, c1 = touched
-            parts.append((c1, partial_index(c0, sites), partial_index(c1, sites)))
-    return tuple(parts)
+            (_, before), (c, local) = sorted(parts.items())
+            inter[c].append(offset + before[:, None] + local[None, :])
+        offset += q ** len(sites)
+    sizes = [len(c) for c in codes]
+    out_intra, out_inter = [], [None]
+    for c, size in enumerate(sizes):
+        index = np.array(intra[c], dtype=np.intp).reshape(-1, size)
+        index.flags.writeable = False
+        out_intra.append(index)
+        if c:
+            index = np.array(inter[c], dtype=np.intp).reshape(-1, sizes[c - 1], size)
+            index.flags.writeable = False
+            out_inter.append(index)
+    return tuple(out_intra), tuple(out_inter)
 
 
 def log_partition_transfer(system: CompiledSystem, plan: TransferPlan) -> float:
     """Exact log partition function via a column-to-column transfer sweep."""
-    q = system.q
-    cols = plan.columns
-    ncol = len(cols)
-
-    # split terms into intra-column and between adjacent columns
-    intra: list = [np.zeros(q ** len(c)) for c in cols]
-    inter: list = [None] * ncol  # inter[c] couples columns c-1 -> c
-    for c in range(1, ncol):
-        inter[c] = np.zeros((q ** len(cols[c - 1]), q ** len(cols[c])))
-    parts = _transfer_index(q, cols, tuple(system.term_sites))
-    for (c, ia, ib), tab in zip(parts, system.term_tables):
-        if ib is None:
-            intra[c] += tab[ia]
-        else:
-            inter[c] += tab[ia[:, None] + ib[None, :]]
+    gather_intra, gather_inter = _gather_index(
+        system.q, plan.columns, tuple(system.term_sites)
+    )
+    tables = np.concatenate(system.term_tables) if system.term_tables else np.empty(0)
+    # the axis-0 sums add a column's terms in term order, each gather in one read
+    intra = [tables[index].sum(axis=0) for index in gather_intra]
 
     log_scale = 0.0
     shift = float(intra[0].min())
     v = np.exp(-(intra[0] - shift))
     log_scale -= shift
-    for c in range(1, ncol):
-        b = -(inter[c] + intra[c][None, :])
+    for c in range(1, len(intra)):
+        b = -(tables[gather_inter[c]].sum(axis=0) + intra[c][None, :])
         m = float(b.max())
         w = v @ np.exp(b - m)
         log_scale += m

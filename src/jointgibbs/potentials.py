@@ -262,11 +262,75 @@ def _entry_from_json(blob: dict):
     raise ConfigError(f"unknown potential entry {blob!r}")
 
 
+class _FlatEntries:
+    """A table's entries in support order, as flat arrays for one gather.
+
+    Entry ``e`` reads ``values[offset[e] + sum_j digit(sites[pos[e, j]]) * power[e, j]]``,
+    a digit indexing ``alphabets[alphabet[e]]``; a constant entry has zero
+    powers.  ``member[e, w]`` says whether entry ``e`` holds ``sites[w]``.
+    """
+
+    def __init__(self, items: list):
+        self.sites = sorted({s for A, _ in items for s in A.sites})
+        column = {s: w for w, s in enumerate(self.sites)}
+        n, width = len(items), max((len(A) for A, _ in items), default=0)
+        self.member = np.zeros((n, len(self.sites)), dtype=bool)
+        self.pos = np.zeros((n, width), dtype=np.intp)
+        self.power = np.zeros((n, width), dtype=np.int64)
+        self.offset = np.zeros(n, dtype=np.intp)
+        self.alphabet = np.zeros(n, dtype=np.intp)
+        self.tabulated = np.zeros(n, dtype=bool)
+        self.alphabets: list = []
+        chunks, top = [], 0
+        for e, (A, entry) in enumerate(items):
+            cols = [column[s] for s in A.sites]
+            self.member[e, cols] = True
+            self.offset[e] = top
+            if isinstance(entry, ConstantEntry):
+                chunks.append([entry.v])
+                top += 1
+                continue
+            if entry.alphabet not in self.alphabets:
+                self.alphabets.append(entry.alphabet)
+            self.alphabet[e] = self.alphabets.index(entry.alphabet)
+            self.tabulated[e] = True
+            self.pos[e, : len(cols)] = cols
+            self.power[e, : len(cols)] = len(entry.alphabet) ** np.arange(len(cols))
+            chunks.append(entry.values)
+            top += len(entry.values)
+        self.values = np.concatenate(chunks) if chunks else np.empty(0)
+
+    def sums(self, Vset: SiteSet, dset: SiteSet, etas: list) -> np.ndarray:
+        """Per disorder map of ``etas``: the entries inside ``dset`` meeting ``Vset``.
+
+        Each sum adds its entries in support order from 0.0, so it equals
+        the running sum of :meth:`PotentialTable.value` over them.
+        """
+        inside = [w for w, s in enumerate(self.sites) if s in Vset]
+        outside = [w for w, s in enumerate(self.sites) if s not in dset]
+        picked = np.flatnonzero(
+            self.member[:, inside].any(axis=1) & ~self.member[:, outside].any(axis=1)
+        )
+        # constants read digit 0 of alphabet 0 at zero power, so keep one alphabet
+        digits = np.zeros((len(etas), len(self.alphabets) or 1, len(self.sites)), dtype=np.intp)
+        for a, alphabet in enumerate(self.alphabets):
+            read = picked[self.tabulated[picked] & (self.alphabet[picked] == a)]
+            for w in np.flatnonzero(self.member[read].any(axis=0)).tolist():
+                for i, eta in enumerate(etas):
+                    if eta is None:
+                        raise ConfigError("entry is disorder-dependent; no eta given")
+                    digits[i, a, w] = alphabet.index(eta[self.sites[w]])
+        at = digits[:, self.alphabet[picked, None], self.pos[picked]]
+        terms = np.zeros((len(etas), len(picked) + 1))
+        terms[:, 1:] = self.values[self.offset[picked] + (at * self.power[picked]).sum(axis=2)]
+        return np.add.accumulate(terms, axis=1)[:, -1]
+
+
 class PotentialTable:
     """Finite-support potential on subsets of a window.
 
     Entries are constants or per-pattern tables; :meth:`value` evaluates
-    either at a disorder configuration.
+    either at a disorder configuration.  An entry is read-only once set.
     """
 
     def __init__(self, window=None, alpha: str = "", meta: dict | None = None):
@@ -284,6 +348,7 @@ class PotentialTable:
         self._entries: dict = {}
         self._sets: dict = {}  # key -> its SiteSet, built once
         self._order: list | None = None  # sorted keys, dropped when a key is added
+        self._flat: _FlatEntries | None = None  # built by a partial sum, dropped by set
 
     def set(self, A, entry) -> None:
         key = _sites_key(A)
@@ -298,6 +363,13 @@ class PotentialTable:
             self._sets[key] = A if isinstance(A, SiteSet) else SiteSet(key)
             self._order = None
         self._entries[key] = entry
+        self._flat = None
+
+    def _sums(self, Vset: SiteSet, dset: SiteSet, etas: list) -> np.ndarray:
+        """:meth:`_FlatEntries.sums` of this table's entries."""
+        if self._flat is None:
+            self._flat = _FlatEntries(self.items())
+        return self._flat.sums(Vset, dset, etas)
 
     def _sorted_keys(self) -> list:
         if self._order is None:
@@ -581,11 +653,7 @@ def check_martingale(
     return lhs - rhs
 
 
-def partial_sum(table: PotentialTable, V, delta, eta: Mapping | None = None) -> float:
-    """Sum of entries inside ``delta`` that meet ``V``."""
-    Vset = V if isinstance(V, SiteSet) else SiteSet(V)
-    if len(Vset) == 0:
-        return 0.0
+def _summation_region(table: PotentialTable, delta) -> SiteSet:
     dset = delta if isinstance(delta, SiteSet) else SiteSet(
         delta.sites() if isinstance(delta, Box) else delta
     )
@@ -596,14 +664,18 @@ def partial_sum(table: PotentialTable, V, delta, eta: Mapping | None = None) -> 
             raise WindowMismatchError(
                 f"summation region leaves the table window at {outside[:4]}"
             )
-    total = 0.0
-    for A in table.support(eta):
-        if Vset.isdisjoint(A):
-            continue
-        if not A.issubset(dset):
-            continue
-        total += table.value(A, eta)
-    return total
+    return dset
+
+
+def partial_sum(table: PotentialTable, V, delta, eta: Mapping | None = None) -> float:
+    """Sum of entries inside ``delta`` that meet ``V``, in support order.
+
+    Every entry is read at ``eta`` by one gather over the table's flat values.
+    """
+    Vset = V if isinstance(V, SiteSet) else SiteSet(V)
+    if len(Vset) == 0:
+        return 0.0
+    return float(table._sums(Vset, _summation_region(table, delta), [eta])[0])
 
 
 def partial_sum_expected(
@@ -675,10 +747,11 @@ def reconstruct_conditional(
     probability}`` like the direct route.
     """
     Vset = ctx._check_window(V)
+    dset = _summation_region(table, delta)
 
     def deflate(codes: np.ndarray) -> np.ndarray:
-        sums = [partial_sum(table, Vset, delta, ctx.eta_of(c)) for c in codes.flat]
-        return np.reshape(sums, codes.shape)
+        etas = [ctx.eta_of(c) for c in codes.flat]
+        return table._sums(Vset, dset, etas).reshape(codes.shape)
 
     return ctx._conditional_at(Vset, sigma_rest, eta_rest, deflate)
 
@@ -1355,6 +1428,10 @@ class ClusterPotentialTable(PotentialTable):
         eta = self.default_eta if eta is None else eta
         occupied = [s for s in self.window_sites if eta.get(s) == 1]
         return [self._closure(C) for C in connected_components(occupied)]
+
+    def _sums(self, Vset: SiteSet, dset: SiteSet, etas: list) -> np.ndarray:
+        # the entries depend on the configuration: sum each one's own table
+        return np.concatenate([self.materialize(eta)._sums(Vset, dset, [eta]) for eta in etas])
 
     def materialize(self, eta: Mapping | None = None) -> PotentialTable:
         """A plain numeric table of this potential at one configuration."""

@@ -26,6 +26,7 @@ conditioning at once, and the reconstruction from a potential table.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import product
 from typing import Mapping
@@ -146,6 +147,7 @@ class QKernelContext:
             {s: spec.disorder_values[0] for s in box.expand(spec.range).sites()},
             self.bc,
         )
+        self._proto = proto  # the region, terms and frozen spins of every ensemble
         self.term_sets = proto.term_sets
         self.frozen_sigma = proto.frozen_sigma
         domain = set()
@@ -162,7 +164,6 @@ class QKernelContext:
         self._box_sites = SiteSet(box.sites())
         self._logz: dict = {}
         self._mean_logz: dict = {}
-        self._term_tables: dict = {}
         self._arrays: tuple | None = None  # built on the first read, see _term_arrays
         self._rows: _RowTable | None = None  # built on the first batch
         self.counts = {"requests": 0, "swept": 0, "batched": 0, "batches": 0}
@@ -189,17 +190,25 @@ class QKernelContext:
         k = len(self.spec.disorder_values)
         return k ** np.arange(len(self.eta_domain), dtype=np.int64)
 
-    def eta_of(self, code: int) -> dict:
-        """The disorder assignment on the domain that ``code`` encodes."""
+    def _digits(self, code: int) -> list:
+        """The digits of ``code``, one per domain site, first site first."""
+        k = len(self.spec.disorder_values)
+        digits = []
+        for _ in self.eta_domain:
+            code, digit = divmod(code, k)
+            digits.append(digit)
+        return digits
+
+    def _checked(self, code) -> int:
         code = int(code)
         if not 0 <= code < self.n_codes:
             raise ValueError(f"disorder code {code} outside [0, {self.n_codes})")
+        return code
+
+    def eta_of(self, code: int) -> dict:
+        """The disorder assignment on the domain that ``code`` encodes."""
         values = self.spec.disorder_values
-        out = {}
-        for s in self.eta_domain:
-            code, digit = divmod(code, len(values))
-            out[s] = values[digit]
-        return out
+        return {s: values[d] for s, d in zip(self.eta_domain, self._digits(self._checked(code)))}
 
     def patch_codes(self, V: SiteSet, patches, eta_rest: Mapping) -> list:
         """Codes of each patch on ``V`` completed by ``eta_rest`` off ``V``."""
@@ -208,30 +217,30 @@ class QKernelContext:
         return [self.code({**rest, **{s: p[s] for s in window if s in p}}) for p in patches]
 
     def ensemble(self, eta: Mapping) -> QuenchedEnsemble:
-        return QuenchedEnsemble(
-            self.spec,
-            self.box,
-            eta,
-            self.bc,
-            _terms=self.term_sets,
-            _frozen=self.frozen_sigma,
-            _tables=self._term_tables,
-        )
+        """The ensemble of the box at ``eta``, a disorder assignment :meth:`code` accepts."""
+        return self._ensemble_at(self.code(eta))
 
-    def log_partition_at(self, eta: Mapping) -> float:
-        """log Z at ``eta``; the one place a single-code miss is swept."""
-        key = self.code(eta)
+    def _ensemble_at(self, code: int) -> QuenchedEnsemble:
+        """The ensemble at ``code``, each term's table picked from its stack by code."""
+        terms, _, eta_weights = self._term_arrays()
+        rows = (np.array(self._digits(code), dtype=np.int64) @ eta_weights).tolist()
+        tables = [(sites, stack[r]) for (sites, stack), r in zip(terms, rows)]
+        return self._proto.at_tables(functools.partial(self.eta_of, code), tables)
+
+    def log_partition_at(self, eta) -> float:
+        """log Z at ``eta``, a mapping or a code; the one place a single-code miss is swept."""
+        key = self.code(eta) if isinstance(eta, Mapping) else self._checked(eta)
         self.counts["requests"] += 1
         hit = self._logz.get(key)
         if hit is None:
-            hit = self._logz[key] = self.ensemble(eta).log_partition()
+            hit = self._logz[key] = self._ensemble_at(key).log_partition()
             self.counts["swept"] += 1
         return hit
 
     def _logz_at(self, code: int) -> float:
         hit = self._logz.get(code)
         if hit is None:
-            return self.log_partition_at(self.eta_of(code))
+            return self.log_partition_at(code)
         self.counts["requests"] += 1
         return hit
 
@@ -259,7 +268,7 @@ class QKernelContext:
                 self.counts["batches"] += 1
             else:
                 for c in misses:
-                    self.log_partition_at(self.eta_of(c))
+                    self.log_partition_at(c)
                 swept = len(misses)
         self.counts["requests"] += len(flat) - swept
         return np.array([memo[c] for c in flat]).reshape(codes.shape)
@@ -291,8 +300,9 @@ class QKernelContext:
         genuinely separate evaluation path.
         """
         Vset = self._check_window(V)
-        m1, m2 = map(self.eta_of, self.patch_codes(Vset, (eta1, eta2), eta_rest))
-        ens = self.ensemble(m2)
+        c1, c2 = self.patch_codes(Vset, (eta1, eta2), eta_rest)
+        ens = self._ensemble_at(c2)
+        m1, m2 = self.eta_of(c1), ens.eta
         extras = []
         for A in self.term_sets:
             if Vset.isdisjoint(A):
@@ -426,12 +436,11 @@ class QKernelContext:
         """
         if self._arrays is None:
             q, k = len(self.spec.spin_values), len(self.spec.disorder_values)
-            ens = self.ensemble(self.eta_of(0))
             terms = []
             spin_weights = np.zeros((len(self._box_sites), len(self.term_sets)), dtype=np.int64)
             eta_weights = np.zeros((len(self.eta_domain), len(self.term_sets)), dtype=np.int64)
             for t, A in enumerate(self.term_sets):
-                free, stack = ens.pattern_tables(A)
+                free, stack = self._proto.pattern_tables(A)
                 stack.flags.writeable = False
                 terms.append((free, stack))
                 spin_weights[list(free), t] = q ** np.arange(len(free))

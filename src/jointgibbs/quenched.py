@@ -10,6 +10,7 @@ log space by the enumeration or transfer-matrix backends.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import product
 from numbers import Real
@@ -46,7 +47,6 @@ class QuenchedEnsemble:
         bc: BoundaryCondition | None = None,
         _terms: list | None = None,
         _frozen: dict | None = None,
-        _tables: dict | None = None,
     ):
         self.spec = spec
         self.bc = bc if bc is not None else BoundaryCondition.free()
@@ -89,12 +89,31 @@ class QuenchedEnsemble:
         if missing:
             raise ConfigError(f"disorder not assigned on sites {missing}")
 
-        # term tables shared by every ensemble of one context, keyed by the
-        # term and its local disorder; valid only while the free sites and
-        # frozen spins are the context's (so never for conditional())
-        self._tables = _tables
+        self._tables: list | None = None  # see at_tables
         self._system: CompiledSystem | None = None
         self._logz: float | None = None
+
+    def at_tables(self, eta: Callable[[], dict], tables: list) -> "QuenchedEnsemble":
+        """This ensemble's region, terms and frozen spins at other disorder.
+
+        ``tables`` holds the table of each term of ``term_sets``, in order, as
+        :func:`engine.normalize_term` returns it; :meth:`compile` adds them as
+        they are.  ``eta()`` returns the disorder on every term site, called
+        on the first read of :attr:`eta`.  Nothing is checked: the caller
+        vouches that the tables are the terms at that disorder.
+        """
+        ens = object.__new__(QuenchedEnsemble)
+        ens.spec, ens.bc, ens.index = self.spec, self.bc, self.index
+        ens.free_sites, ens.term_sets = self.free_sites, self.term_sets
+        ens.frozen_sigma = self.frozen_sigma
+        ens._decode, ens._tables = eta, tables
+        ens._system = ens._logz = None
+        return ens
+
+    @functools.cached_property
+    def eta(self) -> dict:
+        # __init__ stores eta itself; an ensemble from at_tables decodes it here
+        return self._decode()
 
     # -- compilation ---------------------------------------------------------
 
@@ -107,26 +126,13 @@ class QuenchedEnsemble:
             sys_ = CompiledSystem(
                 len(self.free_sites), self.q, site_coords=list(self.free_sites)
             )
-            for A in self.term_sets:
-                sys_.add_normalized(*self._local_table(A, self.eta))
+            tables = self._tables
+            if tables is None:
+                tables = [self._phi_table(A, self.eta) for A in self.term_sets]
+            for sites, table in tables:
+                sys_.add_normalized(sites, table)
             self._system = sys_
         return self._system
-
-    def _local_table(self, A: SiteSet, eta: Mapping) -> tuple:
-        """The normalized table of the term on ``A`` at ``eta``, from the memo if shared.
-
-        A term on ``A`` reads spins and disorder on ``A`` only, so its table
-        is fixed by ``A`` and the disorder there.  Memo entries are read-only.
-        """
-        if self._tables is None:
-            return self._phi_table(A, eta)
-        key = (A.sites, tuple(eta[s] for s in A.sites))
-        hit = self._tables.get(key)
-        if hit is None:
-            hit = self._phi_table(A, eta)
-            hit[1].flags.writeable = False
-            self._tables[key] = hit
-        return hit
 
     def _phi_table(self, A: SiteSet, eta: Mapping) -> tuple:
         return engine.normalize_term(
@@ -141,7 +147,7 @@ class QuenchedEnsemble:
         (first site least significant, digits index ``spec.disorder_values``).
         """
         tables = [
-            self._local_table(A, dict(zip(A.sites, pattern[::-1])))
+            self._phi_table(A, dict(zip(A.sites, pattern[::-1])))
             for pattern in product(self.spec.disorder_values, repeat=len(A.sites))
         ]
         return tables[0][0], np.stack([table for _, table in tables])

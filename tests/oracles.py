@@ -129,14 +129,12 @@ def brute_joint_table(sites, spin_values, disorder_values, nu, energy_of):
     table = {}
     for etas in product(disorder_values, repeat=len(sites)):
         eta = dict(zip(sites, etas))
-        logs = []
-        for spins in product(spin_values, repeat=len(sites)):
-            logs.append(-energy_of(dict(zip(sites, spins)), eta))
+        configs = list(product(spin_values, repeat=len(sites)))
+        logs = [-energy_of(dict(zip(sites, spins)), eta) for spins in configs]
         logz = log_sum_exp(logs)
         lognu = sum(math.log(nu[e]) for e in etas)
-        for spins in product(spin_values, repeat=len(sites)):
-            w = -energy_of(dict(zip(sites, spins)), eta) + lognu - logz
-            table[(spins, etas)] = math.exp(w)
+        for spins, log_w in zip(configs, logs):
+            table[(spins, etas)] = math.exp(log_w + lognu - logz)
     total = sum(table.values())
     return {k: v / total for k, v in table.items()}
 
@@ -227,6 +225,21 @@ def subset_relative_energy_table(ctx, alpha, window):
     return out
 
 
+def partial_sum_loop(table, V, delta, eta=None):
+    """Entries inside ``delta`` that meet ``V``, added one ``table.value`` at a time.
+
+    ``V`` and ``delta`` are site lists; the sum runs over ``table.support(eta)``
+    in its order, from 0.0.
+    """
+    V, delta = set(V), set(delta)
+    total = 0.0
+    for A in table.support(eta):
+        if V.isdisjoint(A.sites) or not delta.issuperset(A.sites):
+            continue
+        total += table.value(A, eta)
+    return total
+
+
 def alpha_normalization_loop(table, alpha, law):
     """Worst one-site average of any table entry, one pattern at a time.
 
@@ -312,3 +325,57 @@ def bfs_components(sites):
         comps.append(tuple(sorted(comp)))
     comps.sort()
     return comps
+
+
+# ---------------------------------------------------------------------------
+# transfer matrix, term by term
+# ---------------------------------------------------------------------------
+
+
+def transfer_log_partition_termwise(system, plan):
+    """log Z by the column sweep, the column energies built one term at a time.
+
+    Each term's table is read at its column digits and added to its
+    column's (or column pair's) energies from zero, in term order; the sweep
+    over the columns is the engine's, line for line.
+    """
+    import numpy as np
+
+    q, cols = system.q, plan.columns
+    where = {s: (c, j) for c, sites in enumerate(cols) for j, s in enumerate(sites)}
+
+    def local(c, sites):
+        # the part of a term's local code that column c's digits contribute
+        codes = np.arange(q ** len(cols[c]))
+        idx = np.zeros(codes.shape, dtype=np.int64)
+        for k, s in enumerate(sites):
+            col, j = where[s]
+            if col == c:
+                idx += ((codes // q**j) % q) * q**k
+        return idx
+
+    intra = [np.zeros(q ** len(c)) for c in cols]
+    inter = [None] + [
+        np.zeros((q ** len(cols[c - 1]), q ** len(cols[c]))) for c in range(1, len(cols))
+    ]
+    for sites, tab in zip(system.term_sites, system.term_tables):
+        touched = sorted({where[s][0] for s in sites})
+        if len(touched) == 1:
+            intra[touched[0]] += tab[local(touched[0], sites)]
+        else:
+            c0, c1 = touched
+            inter[c1] += tab[local(c0, sites)[:, None] + local(c1, sites)[None, :]]
+
+    log_scale = 0.0
+    shift = float(intra[0].min())
+    v = np.exp(-(intra[0] - shift))
+    log_scale -= shift
+    for c in range(1, len(cols)):
+        b = -(inter[c] + intra[c][None, :])
+        m = float(b.max())
+        w = v @ np.exp(b - m)
+        log_scale += m
+        peak = float(w.max())
+        v = w / peak
+        log_scale += math.log(peak)
+    return log_scale + math.log(float(v.sum())) - system.const

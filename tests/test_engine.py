@@ -14,7 +14,11 @@ from jointgibbs.engine import (
     sweep,
 )
 from jointgibbs.errors import CapExceededError
+from jointgibbs.lattice import Box
+from jointgibbs.model import BoundaryCondition, make_dilute, make_random_bond, make_rfim
+from jointgibbs.quenched import QuenchedEnsemble
 
+import oracles
 from oracles import log_sum_exp
 
 
@@ -203,6 +207,48 @@ def test_transfer_matrix_matches_enumeration_strip():
     tm = log_partition_transfer(sys_, plan_transfer(sys_))
     ref = log_partition_enumerate(sys_)
     assert tm == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("bc", [BoundaryCondition.free(), BoundaryCondition.fixed(fill=1)],
+                         ids=["free", "fixed"])
+@pytest.mark.parametrize(
+    "spec",
+    [make_rfim(J=0.5, h=0.3), make_dilute(J=0.8, p=0.4),
+     make_random_bond([[0.1, 0.9], [0.5, -0.3]], d=2)],
+    ids=["rfim", "dilute", "random_bond"],
+)
+def test_transfer_gather_equals_the_term_by_term_sweep(spec, bc):
+    # each column's energies are one gather summed over its terms in term
+    # order: the same floats as adding the terms one at a time from zero
+    rng = np.random.default_rng(17)
+    values = spec.disorder_values
+    empty = 0
+    for shape in ((9,), (3, 4), (5, 5), (2, 6)):
+        if spec.name == "random_bond" and len(shape) == 1:
+            continue  # its disorder is one coupling per axis: 2D only
+        box = Box.from_shape(*shape)
+        for _ in range(4):
+            eta = {s: values[int(rng.integers(len(values)))] for s in box.expand(1).sites()}
+            system = QuenchedEnsemble(spec, box, eta, bc).compile()
+            plan = plan_transfer(system)
+            assert plan is not None
+            got = log_partition_transfer(system, plan)
+            assert got == oracles.transfer_log_partition_termwise(system, plan)
+        intra, _ = engine._gather_index(system.q, plan.columns, tuple(system.term_sites))
+        empty += sum(len(index) == 0 for index in intra)
+    if spec.name == "dilute" and bc.is_free:
+        # the free chain's bonds all cross columns: every column gathers nothing
+        assert empty > 0
+
+
+def test_transfer_gather_equals_the_term_by_term_sweep_on_random_chains():
+    rng = np.random.default_rng(19)
+    for n in (2, 5, 9):
+        for bonds in (True, False):
+            system = chain_system(n, rng=rng, bonds=bonds)
+            plan = plan_transfer(system)
+            got = log_partition_transfer(system, plan)
+            assert got == oracles.transfer_log_partition_termwise(system, plan)
 
 
 def test_auto_backend_uses_transfer_for_long_chains():

@@ -418,6 +418,39 @@ def test_partial_sum_rejects_regions_outside_window():
         partial_sum(table, [(0,)], [(0,), (7,)], {(0,): 1, (7,): 1})
 
 
+@pytest.mark.parametrize("shape", [(8,), (2, 2)], ids=["1x8", "2x2"])
+def test_partial_sum_equals_the_entry_loop(shape):
+    # the gather adds the entries in support order from 0.0, as the loop does
+    ctx = rfim_ctx(shape, nu={-1: 0.3, 1: 0.7})
+    sites = list(ctx.box.sites())
+    product_table = relative_energy_table(ctx, PRODUCT)
+    mixed = relative_energy_table(ctx, VACUUM_PLUS)
+    # constants, and an entry over the alphabet in the other order
+    mixed.set(sites[:1], ConstantEntry(0.25))
+    mixed.set(sites[1:3], TabulatedEntry([0.5, -1.0, 2.0, 0.125], (1, -1)))
+    tables = [product_table, mixed, center_potential(product_table, ctx.spec.nu)]
+    rng = np.random.default_rng(71)
+    for table in tables:
+        for _ in range(150):
+            delta = [s for s in sites if rng.random() < 0.7] or sites[:1]
+            V = [s for s in sites if rng.random() < 0.3] or [sites[-1]]
+            eta = rand_eta(rng, sites)
+            assert partial_sum(table, V, delta, eta) == oracles.partial_sum_loop(
+                table, V, delta, eta
+            )
+    # a set after a partial sum is read by the next one
+    V, eta = sites[:2], {s: 1 for s in sites}
+    before = partial_sum(mixed, V, sites, eta)
+    mixed.set(sites[:2], ConstantEntry(1e3))
+    assert partial_sum(mixed, V, sites, eta) == oracles.partial_sum_loop(mixed, V, sites, eta)
+    assert partial_sum(mixed, V, sites, eta) != before
+    with pytest.raises(ConfigError, match="no eta given"):
+        partial_sum(product_table, V, sites)
+    constants = PotentialTable(sites)
+    constants.set(sites[:2], ConstantEntry(0.5))
+    assert partial_sum(constants, V, sites) == 0.5
+
+
 # ---------------------------------------------------------------------------
 # reconstruction of the joint conditional
 # ---------------------------------------------------------------------------

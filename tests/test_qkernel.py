@@ -647,7 +647,8 @@ def test_term_memo_gives_the_fresh_ensemble_bits(spec, bc):
     values = spec.disorder_values
     for _ in range(12):
         ctx.log_partition_at(rand_eta(rng, ctx.eta_domain, values))
-    assert ctx._term_tables
+    terms = ctx._term_arrays()[0]
+    assert len(terms) == len(ctx.term_sets)
     for _ in range(8):
         eta = rand_eta(rng, ctx.eta_domain, values)
         fresh = QuenchedEnsemble(spec, box, eta, bc)
@@ -658,6 +659,61 @@ def test_term_memo_gives_the_fresh_ensemble_bits(spec, bc):
             sigma_out = {s: fill for s in box.sites()}
             got = ctx.ensemble(eta).conditional(sub, sigma_out).log_partition()
             assert got == fresh.conditional(sub, sigma_out).log_partition()
-    for sites, table in ctx._term_tables.values():
+    # the stacks, and the tables a compile picks from them, are read-only
+    picked = ctx.ensemble(eta).compile().term_tables
+    for table in [stack[0] for _, stack in terms] + picked:
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "spec,shape,bc",
+    [
+        (make_rfim(J=0.5, h=0.3), (5, 5), None),
+        (make_rfim(J=0.5, h=0.3), (3, 3), BoundaryCondition.fixed(fill=1)),
+        (make_dilute(J=0.8, p=0.4), (2, 4), None),
+        (make_random_bond([[0.1, 0.9], [0.5, -0.3]], d=2), (3, 3),
+         BoundaryCondition.fixed(fill=-1)),
+    ],
+    ids=["rfim-5x5-free", "rfim-3x3-fixed", "dilute-2x4-free", "random_bond-3x3-fixed"],
+)
+def test_compile_by_code_gives_the_fresh_ensemble_bits(spec, shape, bc):
+    # a miss picks each term's table from its stack by code; its log Z is the
+    # one an ensemble built from the disorder map, with no context, gets
+    box = Box.from_shape(*shape)
+    ctx = QKernelContext(spec, box, bc)
+    rng = np.random.default_rng(43)
+    codes = rng.integers(0, ctx.n_codes, size=300).tolist()
+    for c in codes:
+        eta = ctx.eta_of(c)
+        fresh = QuenchedEnsemble(spec, box, eta, bc).log_partition()
+        assert ctx.log_partition_at(c) == fresh, c
+        assert ctx.log_partition_at(eta) == fresh
+    assert ctx.counts["swept"] == len(set(codes))
+    # the ensemble at a code reads its disorder back as the code's map
+    assert ctx.ensemble(ctx.eta_of(codes[0])).eta == ctx.eta_of(codes[0])
+    missing = ctx.eta_of(codes[0])
+    del missing[ctx.eta_domain[-1]]
+    for read in (ctx.log_partition_at, ctx.ensemble):
+        with pytest.raises(ConfigError, match="not assigned"):
+            read(missing)
+    with pytest.raises(ValueError, match="outside"):
+        ctx.log_partition_at(ctx.n_codes)
+
+
+def test_term_tables_stay_bounded_over_distinct_misses():
+    # every miss picks from the stacks built once per context: the storage is
+    # one table per term and local disorder pattern, whatever the code count
+    spec = make_rfim(J=0.5, h=0.3)
+    ctx = QKernelContext(spec, Box.from_shape(5, 5))
+    k = len(spec.disorder_values)
+    bound = sum(k ** len(A) for A in ctx.term_sets)
+    codes = np.random.default_rng(29).choice(ctx.n_codes, size=200, replace=False).tolist()
+    held = []
+    for chunk in (codes[:100], codes[100:]):
+        for c in chunk:
+            ctx.log_partition_at(c)
+        held.append(sum(len(stack) for _, stack in ctx._term_arrays()[0]))
+    assert held[0] == held[1] <= bound
+    assert ctx.counts["swept"] == len(ctx._logz) == 200
+    assert engine._gather_index.cache_info().currsize == 1

@@ -49,7 +49,6 @@ from .potentials import (
     dilute_vacuum_coeff,
     epsilon_diagnostic,
     ising_free_log_partition,
-    kozlov_regroup,
     mobius_potential,
     pair_flip_bracket,
     partial_sum,
@@ -58,7 +57,6 @@ from .potentials import (
     relative_energy,
     relative_energy_table,
     shell_cell_terms,
-    shell_regroup,
     telescope_logq,
 )
 from .disorder import (

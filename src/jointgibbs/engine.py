@@ -36,7 +36,7 @@ import numpy as np
 from .errors import CapExceededError
 
 ENUMERATION_CAP = 22  # max free spins for exhaustive enumeration (q=2)
-TM_THRESHOLD = 18  # auto backend: try the transfer matrix above this many spins
+TM_THRESHOLD = 18  # log_partition tries the transfer matrix above this many spins
 TM_STATE_CAP = 64  # max q^width for the transfer matrix
 _NUMPY_CHUNK = 1 << 16
 
@@ -429,25 +429,12 @@ def log_partition_transfer(system: CompiledSystem, plan: TransferPlan) -> float:
     return log_scale + math.log(float(v.sum())) - system.const
 
 
-def log_partition(
-    system: CompiledSystem,
-    backend: str = "auto",
-    cap: int = ENUMERATION_CAP,
-) -> float:
-    """Log partition function; ``backend`` is auto|enumerate|transfer.
+def log_partition(system: CompiledSystem, cap: int = ENUMERATION_CAP) -> float:
+    """Log partition function by the transfer matrix or by enumeration.
 
-    ``auto`` prefers the transfer matrix once the box outgrows
-    ``TM_THRESHOLD`` spins (and the geometry allows it), else enumerates.
+    Prefers the transfer matrix once the box outgrows ``TM_THRESHOLD`` spins
+    (and the geometry allows it), else enumerates.
     """
-    if backend == "enumerate":
-        return log_partition_enumerate(system, cap)
-    if backend == "transfer":
-        plan = plan_transfer(system)
-        if plan is None:
-            raise ValueError("transfer matrix not applicable to this geometry")
-        return log_partition_transfer(system, plan)
-    if backend != "auto":
-        raise ValueError(f"unknown backend {backend!r}")
     if system.n_sites * math.log2(system.q) > TM_THRESHOLD:
         plan = plan_transfer(system)
         if plan is not None:

@@ -3,12 +3,14 @@
 The pipeline: a relative energy assigns to every disorder patch on a subset
 of the working box the averaged log partition-function ratio against a
 normalizing measure (a product law or a point mass at a vacuum
-configuration).  Its Möbius transform over subsets of a window is a
-potential whose partial sums telescope back to averaged log-ratios; feeding
-those partial sums into the annealed weights reconstructs the conditional
-law of the joint measure.  Resummation schemes regroup the potential into
-cells along a site order, and a shell diagnostic estimates how fast the
-single-site averaged log-ratio localizes.
+configuration; a point mass is the product of one-point laws at the
+vacuum, so both kinds run one exact averaging route).  Its Möbius transform
+over subsets of a window is a potential whose partial sums telescope back
+to averaged log-ratios; feeding those partial sums into the annealed
+weights reconstructs the conditional law of the joint measure.
+Resummation schemes regroup the potential into cells along a site order,
+and a shell diagnostic estimates how fast the single-site averaged
+log-ratio localizes.
 
 Everything here is finite-volume.  Relative energies, tables and identity
 checks integrate the disorder exactly (exhaustively, under a cap); only the
@@ -63,7 +65,12 @@ TABULATION_CAP_BITS = 22
 
 @dataclass(frozen=True)
 class NormalizingMeasure:
-    """Either a per-site product law or a point mass at a vacuum field."""
+    """Either a per-site product law or a point mass at a vacuum field.
+
+    A point mass is the product of one-point laws: :meth:`law` returns
+    ``{vacuum_fill: 1.0}`` for it, so every exact average runs the same loop
+    for both kinds, sweeping a single pattern at weight 1.0.
+    """
 
     kind: str  # "product" | "point"
     nu: tuple | None = None  # ((value, weight), ...) for product
@@ -91,20 +98,12 @@ class NormalizingMeasure:
         return self.kind == "product"
 
     def law(self, spec) -> dict:
-        """The per-site law as a dict (product kind only)."""
+        """The per-site law as a dict; a point mass is the one-point law at its fill."""
         if not self.is_product:
-            raise ConfigError("not a product measure")
+            return {self.vacuum_fill: 1.0}
         if self.nu is not None:
             return dict(self.nu)
         return dict(spec.nu)
-
-    def vacuum_at(self, site) -> object:
-        if self.is_product:
-            raise ConfigError("product measure has no vacuum")
-        return self.vacuum_fill
-
-    def vacuum_on(self, sites) -> dict:
-        return {s: self.vacuum_at(s) for s in sites}
 
     def tag(self) -> str:
         if self.is_product:
@@ -134,9 +133,14 @@ def _product_assignments(sites: Sequence, law: Mapping):
         yield out, w
 
 
-def _integration_bits(n_sites: int, law: Mapping) -> float:
-    k = len(_law_items(law))
-    return n_sites * math.log2(max(2, k))
+def _check_integration(n_sites: int, law: Mapping, cap_bits: int) -> None:
+    """Refuse an exact average over ``n_sites`` whose k^n patterns exceed ``cap_bits``.
+
+    A one-point law sweeps one pattern, 0 bits, at any size.
+    """
+    bits = n_sites * math.log2(len(_law_items(law)))
+    if bits > cap_bits:
+        raise CapExceededError("exact disorder integration", math.ceil(bits), cap_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +170,9 @@ def relative_energy(
 ) -> float:
     """Averaged log-ratio of partition functions for a disorder patch.
 
-    Against a product law this integrates the reference configuration out
-    exactly, refusing domains above ``cap_bits``; against a point mass it is
-    a single log-ratio.
+    Integrates the reference configuration out exactly against the per-site
+    law, refusing domains above ``cap_bits``; against a point mass (a
+    one-point law) the average is the single log-ratio to the vacuum.
     """
     Vset = V if isinstance(V, SiteSet) else SiteSet(V)
     if len(Vset) == 0:
@@ -176,21 +180,9 @@ def relative_energy(
     if not Vset.issubset(ctx.box):
         raise ValueError(f"patch {Vset.sites} is not inside the box")
 
-    if not alpha.is_product:
-        vac = alpha.vacuum_on(ctx.eta_domain)
-        num = dict(vac)
-        for s in Vset:
-            num[s] = eta_V[s]
-        return ctx.log_partition_at(num) - ctx.log_partition_at(vac)
-
     law = alpha.law(ctx.spec)
     rest = [s for s in ctx.eta_domain if s not in Vset]
-    if _integration_bits(len(ctx.eta_domain), law) > cap_bits:
-        raise CapExceededError(
-            "exact disorder integration",
-            math.ceil(_integration_bits(len(ctx.eta_domain), law)),
-            cap_bits,
-        )
+    _check_integration(len(ctx.eta_domain), law, cap_bits)
     acc = 0.0
     for assign, w in _product_assignments(rest, law):
         for s in Vset:
@@ -398,12 +390,6 @@ class PotentialTable:
     def __contains__(self, A) -> bool:
         return _sites_key(A) in self._entries
 
-    def max_abs(self, eta: Mapping | None = None) -> float:
-        out = 0.0
-        for A in self.support(eta):
-            out = max(out, abs(self.value(A, eta)))
-        return out
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -540,13 +526,12 @@ def relative_energy_table(
     Every cap is checked before any log Z is read.  Then each disorder code
     the table needs is read once, through :meth:`QKernelContext.log_partition_at`,
     into a dense vector: every alphabet value on the window, and off it the
-    law's values (product) or the vacuum (point mass, whose table reads
-    k^|window| codes).  A point mass is the product of one-point laws, so
-    both kinds share one row formula: a subset's row over its patterns is
-    the weighted sum over the rest of the domain in :func:`relative_energy`'s
-    order (``itertools.product`` order, weights multiplied left to right,
-    added one by one from 0.0) less :func:`_mean_log_partition`, which makes
-    the table's rows bit-equal to the scalar route.
+    law's values (a point mass reads only the vacuum there, so k^|window|
+    codes).  A subset's row over its patterns is the weighted sum over the
+    rest of the domain in :func:`relative_energy`'s order (``itertools.product``
+    order, weights multiplied left to right, added one by one from 0.0) less
+    :func:`_mean_log_partition`, which makes the table's rows bit-equal to
+    the scalar route.
     """
     window = window if window is not None else ctx.box
     values = ctx.spec.disorder_values
@@ -554,15 +539,8 @@ def relative_energy_table(
     if not SiteSet(sites).issubset(ctx.box):
         raise ValueError(f"window {sites} is not inside the box")
     domain = ctx.eta_domain
-    if alpha.is_product:
-        law = alpha.law(ctx.spec)
-        bits = _integration_bits(len(domain), law)
-        if bits > EXACT_INTEGRATION_CAP_BITS:
-            raise CapExceededError(
-                "exact disorder integration", math.ceil(bits), EXACT_INTEGRATION_CAP_BITS
-            )
-    else:
-        law = {alpha.vacuum_fill: 1.0}
+    law = alpha.law(ctx.spec)
+    _check_integration(len(domain), law, EXACT_INTEGRATION_CAP_BITS)
     items = _law_items(law)
 
     # domain site s takes a digit over choices[s], the first site fastest
@@ -634,19 +612,12 @@ def check_martingale(
     if not Vset.issubset(dset):
         raise ValueError("V must lie inside delta")
     fill = [s for s in dset if s not in Vset]
-    if alpha.is_product:
-        law = alpha.law(ctx.spec)
-        lhs = 0.0
-        for assign, w in _product_assignments(fill, law):
-            patch = dict(assign)
-            for s in Vset:
-                patch[s] = eta_V[s]
-            lhs += w * relative_energy(ctx, dset, patch, alpha)
-    else:
-        patch = alpha.vacuum_on(fill)
+    lhs = 0.0
+    for assign, w in _product_assignments(fill, alpha.law(ctx.spec)):
+        patch = dict(assign)
         for s in Vset:
             patch[s] = eta_V[s]
-        lhs = relative_energy(ctx, dset, patch, alpha)
+        lhs += w * relative_energy(ctx, dset, patch, alpha)
     rhs = relative_energy(ctx, Vset, eta_V, alpha)
     if len(Vset) == 0:
         rhs = 0.0
@@ -704,29 +675,17 @@ def partial_sum_expected(
         raise ValueError("V must lie inside delta")
     mid = [s for s in dset if s not in Vset and s in set(ctx.eta_domain)]
     far = [s for s in ctx.eta_domain if s not in dset]
-    if alpha.is_product:
-        law = alpha.law(ctx.spec)
-        if _integration_bits(len(Vset) + len(far), law) > cap_bits:
-            raise CapExceededError(
-                "exact disorder integration",
-                math.ceil(_integration_bits(len(Vset) + len(far), law)),
-                cap_bits,
-            )
-        total = 0.0
-        for assign, w in _product_assignments(list(Vset) + far, law):
-            env = {s: eta[s] for s in mid}
-            for s in far:
-                env[s] = assign[s]
-            e1 = {s: eta[s] for s in Vset}
-            e2 = {s: assign[s] for s in Vset}
-            total += w * ctx.log_q(Vset, e1, e2, env)
-        return total
-    env = {s: eta[s] for s in mid}
-    for s in far:
-        env[s] = alpha.vacuum_at(s)
-    e1 = {s: eta[s] for s in Vset}
-    e2 = alpha.vacuum_on(Vset.sites)
-    return ctx.log_q(Vset, e1, e2, env)
+    law = alpha.law(ctx.spec)
+    _check_integration(len(Vset) + len(far), law, cap_bits)
+    total = 0.0
+    for assign, w in _product_assignments(list(Vset) + far, law):
+        env = {s: eta[s] for s in mid}
+        for s in far:
+            env[s] = assign[s]
+        e1 = {s: eta[s] for s in Vset}
+        e2 = {s: assign[s] for s in Vset}
+        total += w * ctx.log_q(Vset, e1, e2, env)
+    return total
 
 
 def reconstruct_conditional(
@@ -792,8 +751,10 @@ def check_alpha_normalization(
     """Worst one-site average of any entry (zero for a normalized table).
 
     For a product measure, averages each entry over one site at a time with
-    the other sites swept; for a point mass, evaluates each entry with one
-    site at the vacuum value.  Returns the maximum absolute result.
+    the other sites swept over the law's support; for a point mass, evaluates
+    each entry with one site at the vacuum value and the others over the
+    whole alphabet.  The two kinds check different sets of patterns, so they
+    keep separate branches.  Returns the maximum absolute result.
     """
     worst = 0.0
     for A, entry in table.items():
@@ -980,25 +941,6 @@ def regroup(
     return out
 
 
-def kozlov_regroup(
-    table: PotentialTable, scheme: RegroupingScheme, eta: Mapping | None = None
-) -> RegroupedTable:
-    """Interval-cell resummation (order intervals of growing radius)."""
-    if scheme.kind != "interval":
-        raise SchemeError("expected an interval scheme")
-    return regroup(table, scheme, eta)
-
-
-def shell_regroup(
-    table: PotentialTable, eta: Mapping | None = None
-) -> RegroupedTable:
-    """Shell-cell resummation along the lexicographic order."""
-    if table.window_sites is None:
-        raise SchemeError("table has no window to build shells on")
-    scheme = RegroupingScheme.shell(table.window_box or table.window_sites)
-    return regroup(table, scheme, eta)
-
-
 def class_value_via_energy(
     scheme: RegroupingScheme,
     x,
@@ -1134,51 +1076,28 @@ def shell_cell_terms(
     if m == 1:
         base = relative_energy(ctx, SiteSet([x]), {x: eta[x]}, alpha, cap_bits=cap_bits)
         out.append((x, float(base)))
-    if alpha.is_product:
-        law = alpha.law(ctx.spec)
+    law = alpha.law(ctx.spec)
     for i, y in enumerate(new_sites):
         # disorder kept at eta on the smaller cell and earlier shell sites
         kept = [s for s in small if s != x] + new_sites[:i]
         free = [s for s in ctx.eta_domain if s != x and s != y and s not in kept]
-        if alpha.is_product:
-            bits = _integration_bits(len(free) + 2, law)
-            if bits > cap_bits:
-                raise CapExceededError(
-                    "exact disorder integration", math.ceil(bits), cap_bits
-                )
-            acc = 0.0
-            for assign, w in _product_assignments(free, law):
-                for vx, wx in _law_items(law):
-                    for vy, wy in _law_items(law):
-                        env = {s: eta[s] for s in kept}
-                        env.update(assign)
-                        term = pair_flip_bracket(
-                            ctx,
-                            x,
-                            y,
-                            {x: eta[x], y: eta[y]},
-                            {x: vx, y: vy},
-                            env,
-                        )
-                        acc += w * wx * wy * term
-            out.append((y, acc))
-        else:
-            env = {s: eta[s] for s in kept}
-            for s in free:
-                env[s] = alpha.vacuum_at(s)
-            out.append(
-                (
-                    y,
-                    pair_flip_bracket(
+        _check_integration(len(free) + 2, law, cap_bits)
+        acc = 0.0
+        for assign, w in _product_assignments(free, law):
+            for vx, wx in _law_items(law):
+                for vy, wy in _law_items(law):
+                    env = {s: eta[s] for s in kept}
+                    env.update(assign)
+                    term = pair_flip_bracket(
                         ctx,
                         x,
                         y,
                         {x: eta[x], y: eta[y]},
-                        {x: alpha.vacuum_at(x), y: alpha.vacuum_at(y)},
+                        {x: vx, y: vy},
                         env,
-                    ),
-                )
-            )
+                    )
+                    acc += w * wx * wy * term
+        out.append((y, acc))
     return out
 
 
@@ -1237,7 +1156,11 @@ def epsilon_diagnostic(
     draws are consecutive blocks of one :class:`DisorderSampler` stream.
     """
     x = as_site(x)
-    law = (alpha or NormalizingMeasure.product()).law(ctx.spec)
+    alpha = alpha or NormalizingMeasure.product()
+    if not alpha.is_product:
+        # the outer draws come from the law, and a point mass draws only the vacuum
+        raise ConfigError("not a product measure")
+    law = alpha.law(ctx.spec)
     sampler = DisorderSampler(law, ctx.eta_domain, seed)
     n = len(ctx.eta_domain)
     pos = {s: i for i, s in enumerate(ctx.eta_domain)}
@@ -1348,7 +1271,7 @@ def ising_free_log_partition(sites, J: float) -> float:
 def _occupied_log_partition(sites: tuple, J: float) -> float:
     # the occupation law p is irrelevant once every site is occupied
     ens = QuenchedEnsemble(make_dilute(J, 0.5), sites, {s: 1 for s in sites})
-    return engine.log_partition(ens.compile(), "enumerate")
+    return engine.log_partition_enumerate(ens.compile())
 
 
 def dilute_vacuum_coeff(J: float, A, cap: int = ISING_ENUM_CAP) -> float:

@@ -146,27 +146,34 @@ class QuenchedEnsemble:
         of ``tables``: the table at pattern p, mixed-radix over ``A.sites``
         (first site least significant, digits index ``spec.disorder_values``).
         """
-        tables = [
-            self._phi_table(A, dict(zip(A.sites, pattern[::-1])))
+        etas = [
+            dict(zip(A.sites, pattern[::-1]))
             for pattern in product(self.spec.disorder_values, repeat=len(A.sites))
         ]
-        return tables[0][0], np.stack([table for _, table in tables])
+        phi = self.spec.phi
+        idx, table = self._term_table(A, lambda sigma: [phi(A, sigma, eta) for eta in etas])
+        # free sites and A both run in sorted order, so idx ascends and the
+        # rows are already in engine.normalize_term's layout
+        return tuple(idx), np.ascontiguousarray(table.T)
 
     def _term_table(self, A: SiteSet, fn: Callable):
-        """Table of ``fn(sigma_map)`` over the free digits of one interaction set."""
+        """Table of ``fn(sigma_map)`` over the free digits of one interaction set.
+
+        Entry ``code`` holds ``fn`` at the spins of that digit code, the
+        first free site's digit least significant.
+        """
         free = [s for s in A if s in self.index]
         idx = [self.index[s] for s in free]
-        k = len(free)
         values = self.spec.spin_values
-        table = np.zeros(self.q**k, dtype=np.float64)
         sigma = {s: self.frozen_sigma[s] for s in A if s not in self.index}
-        for code in range(table.size):
+        rows = []
+        for code in range(self.q ** len(free)):
             c = code
             for s in free:
                 sigma[s] = values[c % self.q]
                 c //= self.q
-            table[code] = fn(sigma)
-        return idx, table
+            rows.append(fn(sigma))
+        return idx, np.array(rows, dtype=np.float64)
 
     def extra_term(self, A, fn: Callable) -> tuple:
         """Compile ``fn(sigma_map) -> float`` on set ``A`` for this ensemble."""

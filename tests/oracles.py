@@ -225,6 +225,69 @@ def subset_relative_energy_table(ctx, alpha, window):
     return out
 
 
+def vacuum_relative_energy(ctx, V, eta_V, fill):
+    """log Z(vacuum + eta_V) - log Z(vacuum): the point-mass relative energy.
+
+    The vacuum sets ``fill`` on every disorder site; ``eta_V`` overrides it
+    on ``V``.  Empty ``V`` reads 0.0.
+    """
+    if not V:
+        return 0.0
+    vac = {s: fill for s in ctx.eta_domain}
+    num = dict(vac)
+    for s in V:
+        num[s] = eta_V[s]
+    return ctx.log_partition_at(num) - ctx.log_partition_at(vac)
+
+
+def vacuum_martingale(ctx, V, delta, eta_V, fill):
+    """The point-mass martingale residual: the ``delta`` energy at the vacuum
+    extension of the patch, less the ``V`` energy."""
+    patch = {s: fill for s in delta if s not in V}
+    for s in V:
+        patch[s] = eta_V[s]
+    return vacuum_relative_energy(ctx, delta, patch, fill) - vacuum_relative_energy(
+        ctx, V, eta_V, fill
+    )
+
+
+def vacuum_log_q(ctx, V, delta, eta, fill):
+    """The point-mass partial-sum target: flip ``V`` from ``eta`` to the vacuum,
+    disorder at ``eta`` on the rest of ``delta`` and at the vacuum beyond."""
+    env = {s: eta[s] for s in delta if s not in V and s in ctx.eta_domain}
+    for s in ctx.eta_domain:
+        if s not in delta:
+            env[s] = fill
+    return ctx.log_q(V, {s: eta[s] for s in V}, {s: fill for s in V}, env)
+
+
+def vacuum_pair_brackets(ctx, cell, x, m, eta, fill):
+    """The point-mass shell-cell terms: per site ``y`` added by shell ``m``,
+    the pair-flip bracket of (x, y) to the vacuum, disorder kept at ``eta`` on
+    the smaller cell and earlier shell sites and at the vacuum elsewhere.
+    At m=1 the bare single-site relative energy comes first.  ``cell(m)``
+    returns the sorted sites of shell cell m (with ``cell(0)`` = ``[x]``).
+    """
+    from jointgibbs.potentials import pair_flip_bracket
+
+    small = cell(m - 1)
+    new_sites = [y for y in cell(m) if y not in small]
+    out = []
+    if m == 1:
+        out.append((x, vacuum_relative_energy(ctx, [x], {x: eta[x]}, fill)))
+    for i, y in enumerate(new_sites):
+        kept = [s for s in small if s != x] + new_sites[:i]
+        env = {s: eta[s] for s in kept}
+        for s in ctx.eta_domain:
+            if s != x and s != y and s not in kept:
+                env[s] = fill
+        bracket = pair_flip_bracket(
+            ctx, x, y, {x: eta[x], y: eta[y]}, {x: fill, y: fill}, env
+        )
+        out.append((y, bracket))
+    return out
+
+
 def partial_sum_loop(table, V, delta, eta=None):
     """Entries inside ``delta`` that meet ``V``, added one ``table.value`` at a time.
 

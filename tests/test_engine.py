@@ -253,7 +253,7 @@ def test_transfer_gather_equals_the_term_by_term_sweep_on_random_chains():
 
 def test_auto_backend_uses_transfer_for_long_chains():
     sys_ = chain_system(26)  # beyond the enumeration cap entirely
-    val = log_partition(sys_, backend="auto")
+    val = log_partition(sys_)
     ref = log_partition_transfer(sys_, plan_transfer(sys_))
     assert val == pytest.approx(ref, abs=1e-12)
 
@@ -262,13 +262,6 @@ def test_transfer_refuses_wide_geometry():
     coords = [(x, y) for x in range(7) for y in range(7)]
     sys_ = CompiledSystem(49, 2, site_coords=coords)
     assert plan_transfer(sys_) is None
-    with pytest.raises(ValueError):
-        log_partition(sys_, backend="transfer")
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        log_partition(chain_system(4), backend="magic")
 
 
 def test_enumeration_cap():

@@ -10,9 +10,11 @@ from jointgibbs.errors import CapExceededError, ConfigError, WindowMismatchError
 from jointgibbs.lattice import Box, SiteSet
 from jointgibbs.model import BoundaryCondition, make_dilute, make_random_bond, make_rfim
 from jointgibbs.potentials import (
+    EXACT_INTEGRATION_CAP_BITS,
     ConstantEntry,
     NormalizingMeasure,
     PotentialTable,
+    RegroupingScheme,
     TabulatedEntry,
     center_potential,
     check_alpha_normalization,
@@ -24,6 +26,7 @@ from jointgibbs.potentials import (
     reconstruct_conditional,
     relative_energy,
     relative_energy_table,
+    shell_cell_terms,
 )
 from jointgibbs.qkernel import QKernelContext
 
@@ -281,6 +284,63 @@ def test_relative_table_equals_the_per_pattern_route(case):
     assert ctx.counts["swept"] == codes
     assert ctx.counts["batched"] == 0
     assert ctx.counts["requests"] > codes
+
+
+POINT_MASS_CASES = sorted(c for c in PARITY_CASES if not PARITY_CASES[c][4].is_product)
+
+
+@pytest.mark.parametrize("case", POINT_MASS_CASES)
+def test_point_mass_runs_the_product_route_bit_for_bit(case):
+    spec, shape, fill, _, alpha = PARITY_CASES[case]
+    bc = BoundaryCondition.free() if fill is None else BoundaryCondition.fixed(fill=fill)
+    box = Box.from_shape(*shape)
+    ctx, ref = QKernelContext(spec, box, bc), QKernelContext(spec, box, bc)
+    vac = alpha.vacuum_fill
+    sites = box.sites()
+    scheme = RegroupingScheme.shell(box)
+    rng = np.random.default_rng(41)
+    values = spec.disorder_values
+    for _ in range(4):
+        eta = {s: values[int(rng.integers(len(values)))] for s in ctx.eta_domain}
+        kd = int(rng.integers(1, len(sites) + 1))
+        delta = [sites[i] for i in sorted(rng.choice(len(sites), size=kd, replace=False))]
+        V = [delta[i] for i in sorted(rng.choice(kd, size=int(rng.integers(1, kd + 1)),
+                                                  replace=False))]
+        eta_V = {s: eta[s] for s in V}
+        assert relative_energy(ctx, V, eta_V, alpha) == oracles.vacuum_relative_energy(
+            ref, V, eta_V, vac
+        )
+        assert check_martingale(ctx, V, delta, eta_V, alpha) == oracles.vacuum_martingale(
+            ref, V, delta, eta_V, vac
+        )
+        assert partial_sum_expected(ctx, V, delta, eta, alpha) == oracles.vacuum_log_q(
+            ref, V, delta, eta, vac
+        )
+    for x in sites:
+        for m in range(1, scheme.max_m(x) + 1):
+            want = oracles.vacuum_pair_brackets(
+                ref, lambda j: scheme.cell(x, j).sites if j else [x], x, m, eta, vac
+            )
+            assert shell_cell_terms(ctx, scheme, x, m, eta, alpha) == want
+
+
+def test_point_mass_relative_energy_has_no_integration_cap():
+    # 25 domain sites: above EXACT_INTEGRATION_CAP_BITS for a two-point law
+    ctx = rfim_ctx((5, 5))
+    V = [(2, 2), (2, 3)]
+    eta_V = {(2, 2): -1, (2, 3): 1}
+    assert len(ctx.eta_domain) > EXACT_INTEGRATION_CAP_BITS
+    with pytest.raises(CapExceededError):
+        relative_energy(ctx, V, eta_V, PRODUCT)
+    got = relative_energy(ctx, V, eta_V, VACUUM_PLUS)
+    assert got == oracles.vacuum_relative_energy(rfim_ctx((5, 5)), V, eta_V, 1)
+
+
+def test_epsilon_diagnostic_refuses_a_point_mass():
+    ctx = rfim_ctx((4,))
+    with pytest.raises(ConfigError):
+        epsilon_diagnostic(ctx, (1,), [1], samples=8, alpha=VACUUM_PLUS)
+    assert ctx.counts["requests"] == 0
 
 
 def test_nested_differences_are_the_signed_subset_sums():

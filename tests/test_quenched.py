@@ -212,8 +212,8 @@ def test_transfer_backend_agrees_inside_ensemble():
     rng = np.random.default_rng(19)
     eta = {s: int(rng.choice([-1, 1])) for s in box.sites()}
     ens = QuenchedEnsemble(spec, box, eta)
-    a = engine.log_partition(ens.compile(), "enumerate")
-    b = engine.log_partition(ens.compile(), "transfer")
+    a = engine.log_partition_enumerate(ens.compile())
+    b = engine.log_partition_transfer(ens.compile(), engine.plan_transfer(ens.compile()))
     assert a == pytest.approx(b, rel=1e-11)
 
 

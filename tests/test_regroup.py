@@ -15,14 +15,12 @@ from jointgibbs.potentials import (
     RegroupingScheme,
     class_value_via_energy,
     epsilon_diagnostic,
-    kozlov_regroup,
     pair_flip_bracket,
     partial_sum,
     regroup,
     relative_energy,
     relative_energy_table,
     shell_cell_terms,
-    shell_regroup,
     telescope_logq,
 )
 from jointgibbs.qkernel import QKernelContext
@@ -141,23 +139,6 @@ def test_regroup_keeps_base_site_partial_sum():
         mid = partial_sum(table, [(3,)], sites)
         mid_grouped = partial_sum(grouped, [(3,)], sites)
         assert abs(mid - mid_grouped) > 1e-6
-
-
-def test_kozlov_regroup_requires_interval_scheme():
-    sites = Box.from_shape(3).sites()
-    table = random_table(np.random.default_rng(7), sites)
-    with pytest.raises(SchemeError):
-        kozlov_regroup(table, RegroupingScheme.shell(sites))
-
-
-def test_shell_regroup_equals_regroup_with_shell_scheme():
-    sites = Box.from_shape(4).sites()
-    table = random_table(np.random.default_rng(11), sites)
-    a = shell_regroup(table)
-    b = regroup(table, RegroupingScheme.shell(sites))
-    assert {A.sites for A in a.support()} == {A.sites for A in b.support()}
-    for A in a.support():
-        assert a.value(A) == pytest.approx(b.value(A), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -157,12 +157,11 @@ def cbar(
     seed: int,
     *,
     batches: int = DEFAULT_BATCHES,
-    axis: int = 0,
 ) -> CorrelationEstimate:
     """Estimate the averaged absolute flip covariance at separation ``m``.
 
     Draws disorder configurations i.i.d. from the model's product law,
-    computes |c_xy| at a centered pair along ``axis`` for every choice of the
+    computes |c_xy| at a centered pair along axis 0 for every choice of the
     two flip values, and returns the largest mean with its batch-means
     error; the per-value breakdown (including the signed mean as a
     diagnostic) is attached.
@@ -173,7 +172,7 @@ def cbar(
         raise ConfigError(
             f"insufficient samples: {samples} < {2 * batches} (2 per batch)"
         )
-    x, y = representative_pair(ctx.box, m, axis)
+    x, y = representative_pair(ctx.box, m)
     values = ctx.spec.disorder_values
     sampler = DisorderSampler(ctx.spec.nu, ctx.eta_domain, seed)
     to_alphabet = np.array([values.index(v) for v in sampler.values], dtype=np.int64)
@@ -213,7 +212,7 @@ def cbar(
         n_samples=samples,
         pair=(x, y),
         breakdown=breakdown,
-        meta={"seed": seed, "axis": axis, "argmax": list(top[2])},
+        meta={"seed": seed, "axis": 0, "argmax": list(top[2])},
     )
 
 

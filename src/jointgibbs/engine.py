@@ -214,7 +214,6 @@ def _sweep_index(q: int, n: int, term_sites: tuple) -> np.ndarray:
 def sweep(
     system: CompiledSystem,
     observables: Sequence[ProductObservable] = (),
-    cap: int = ENUMERATION_CAP,
 ):
     """Exhaustive sweep over all configurations; refuses oversized systems.
 
@@ -222,8 +221,8 @@ def sweep(
     expectation of the k-th product observable.
     """
     bits = system.n_sites * math.log2(system.q)
-    if bits > cap:
-        raise CapExceededError("spin enumeration", math.ceil(bits), cap)
+    if bits > ENUMERATION_CAP:
+        raise CapExceededError("spin enumeration", math.ceil(bits), ENUMERATION_CAP)
     if system.n_sites == 0:
         return -system.const, [1.0 for _ in observables]
     q, n = system.q, system.n_sites
@@ -262,8 +261,8 @@ def sweep(
     return log_z, [s / sz for s in sf]
 
 
-def log_partition_enumerate(system: CompiledSystem, cap: int = ENUMERATION_CAP) -> float:
-    return sweep(system, (), cap)[0]
+def log_partition_enumerate(system: CompiledSystem) -> float:
+    return sweep(system)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,23 +320,21 @@ class TransferPlan:
     columns: tuple  # per column: tuple of free-site indices (ascending)
 
 
-def plan_transfer(system: CompiledSystem, state_cap: int = TM_STATE_CAP):
+def plan_transfer(system: CompiledSystem):
     """Column decomposition usable by the transfer matrix, or None.
 
     Requires site coordinates; tries each axis and accepts the first along
     which every term spans at most two *adjacent* columns and every column
-    has at most ``state_cap`` states.
+    has at most ``TM_STATE_CAP`` states.
     """
     coords = system.site_coords
     if coords is None or system.n_sites == 0:
         return None
-    return _plan(
-        system.q, tuple(map(tuple, coords)), tuple(system.term_sites), state_cap
-    )
+    return _plan(system.q, tuple(map(tuple, coords)), tuple(system.term_sites))
 
 
 @functools.lru_cache(maxsize=1)
-def _plan(q: int, coords: tuple, term_sites: tuple, state_cap: int):
+def _plan(q: int, coords: tuple, term_sites: tuple):
     d = len(coords[0])
     for axis in range(d):
         vals = sorted({c[axis] for c in coords})
@@ -348,7 +345,7 @@ def _plan(q: int, coords: tuple, term_sites: tuple, state_cap: int):
         cols: list = [[] for _ in vals]
         for i in range(len(coords)):
             cols[col_of[i]].append(i)
-        if any(q ** len(c) > state_cap for c in cols):
+        if any(q ** len(c) > TM_STATE_CAP for c in cols):
             continue
         ok = True
         for sites in term_sites:
@@ -429,7 +426,7 @@ def log_partition_transfer(system: CompiledSystem, plan: TransferPlan) -> float:
     return log_scale + math.log(float(v.sum())) - system.const
 
 
-def log_partition(system: CompiledSystem, cap: int = ENUMERATION_CAP) -> float:
+def log_partition(system: CompiledSystem) -> float:
     """Log partition function by the transfer matrix or by enumeration.
 
     Prefers the transfer matrix once the box outgrows ``TM_THRESHOLD`` spins
@@ -439,4 +436,4 @@ def log_partition(system: CompiledSystem, cap: int = ENUMERATION_CAP) -> float:
         plan = plan_transfer(system)
         if plan is not None:
             return log_partition_transfer(system, plan)
-    return log_partition_enumerate(system, cap)
+    return log_partition_enumerate(system)

@@ -168,10 +168,8 @@ class SiteSet:
         return self._sites
 
     def diameter(self) -> int:
-        """Largest sup-norm distance between two member sites."""
-        return max(
-            (linf_dist(a, b) for a in self._sites for b in self._sites), default=0
-        )
+        """Largest sup-norm distance between two member sites: the widest axis span."""
+        return max((max(c) - min(c) for c in zip(*self._sites)), default=0)
 
     # -- set algebra ----------------------------------------------------------
     def union(self, other: "SiteSet") -> "SiteSet":
@@ -247,16 +245,16 @@ def boundary(A: SiteSet, r: int) -> SiteSet:
     return r_neighborhood(A, r) - A
 
 
-def enumerate_subsets(window, cap: int = SUBSET_ENUMERATION_CAP) -> Iterator[SiteSet]:
+def enumerate_subsets(window) -> Iterator[SiteSet]:
     """Yield every subset of ``window`` once, in increasing bitmask order.
 
     ``window`` may be a Box or a SiteSet.  Refuses windows larger than
-    ``cap`` sites (2^cap subsets) with a size report.
+    ``SUBSET_ENUMERATION_CAP`` sites with a size report.
     """
     wsites = window.sites() if isinstance(window, Box) else list(window)
     n = len(wsites)
-    if n > cap:
-        raise CapExceededError("subset enumeration window", n, cap)
+    if n > SUBSET_ENUMERATION_CAP:
+        raise CapExceededError("subset enumeration window", n, SUBSET_ENUMERATION_CAP)
     for m in range(1 << n):
         yield SiteSet(s for i, s in enumerate(wsites) if m >> i & 1)
 

@@ -28,6 +28,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import CapExceededError, ConfigError
 from .lattice import Site, SiteSet, as_site, linf_dist
 
+LOCAL_FLIP_CAP_BITS = 24  # spin and disorder patterns in sup_delta_h_single_site
+
 
 def _normalize_nu(nu: Mapping) -> dict:
     items = list(nu.items())
@@ -415,7 +417,7 @@ def delta_H(
     return total
 
 
-def sup_delta_h_single_site(spec: ModelSpec, d: int, cap_bits: int = 24) -> float:
+def sup_delta_h_single_site(spec: ModelSpec, d: int) -> float:
     """A-priori bound: the largest |single-site disorder-flip energy|.
 
     Exhausts spin and disorder assignments on the union of interaction sets
@@ -430,8 +432,10 @@ def sup_delta_h_single_site(spec: ModelSpec, d: int, cap_bits: int = 24) -> floa
     bits = len(support) * math.log2(len(spec.spin_values)) + (len(others) + 2) * math.log2(
         len(spec.disorder_values)
     )
-    if bits > cap_bits:
-        raise CapExceededError("local disorder-flip enumeration", math.ceil(bits), cap_bits)
+    if bits > LOCAL_FLIP_CAP_BITS:
+        raise CapExceededError(
+            "local disorder-flip enumeration", math.ceil(bits), LOCAL_FLIP_CAP_BITS
+        )
     best = 0.0
     for sig_combo in product(spec.spin_values, repeat=len(support)):
         sigma = dict(zip(support.sites, sig_combo))

@@ -7,7 +7,9 @@ configuration; a point mass is the product of one-point laws at the
 vacuum, so both kinds run one exact averaging route).  Its Möbius transform
 over subsets of a window is a potential whose partial sums telescope back
 to averaged log-ratios; feeding those partial sums into the annealed
-weights reconstructs the conditional law of the joint measure.
+weights reconstructs the conditional law of the joint measure.  Both
+identities read a table one way only: :meth:`PotentialTable.value` over
+its support, in support order.
 Resummation schemes regroup the potential into cells along a site order,
 and a shell diagnostic estimates how fast the single-site averaged
 log-ratio localizes.
@@ -133,14 +135,16 @@ def _product_assignments(sites: Sequence, law: Mapping):
         yield out, w
 
 
-def _check_integration(n_sites: int, law: Mapping, cap_bits: int) -> None:
-    """Refuse an exact average over ``n_sites`` whose k^n patterns exceed ``cap_bits``.
+def _check_integration(n_sites: int, law: Mapping) -> None:
+    """Refuse an exact average over ``n_sites`` whose k^n patterns exceed the cap.
 
     A one-point law sweeps one pattern, 0 bits, at any size.
     """
     bits = n_sites * math.log2(len(_law_items(law)))
-    if bits > cap_bits:
-        raise CapExceededError("exact disorder integration", math.ceil(bits), cap_bits)
+    if bits > EXACT_INTEGRATION_CAP_BITS:
+        raise CapExceededError(
+            "exact disorder integration", math.ceil(bits), EXACT_INTEGRATION_CAP_BITS
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +169,13 @@ def relative_energy(
     V,
     eta_V: Mapping,
     alpha: NormalizingMeasure,
-    *,
-    cap_bits: int = EXACT_INTEGRATION_CAP_BITS,
 ) -> float:
     """Averaged log-ratio of partition functions for a disorder patch.
 
     Integrates the reference configuration out exactly against the per-site
-    law, refusing domains above ``cap_bits``; against a point mass (a
-    one-point law) the average is the single log-ratio to the vacuum.
+    law, refusing domains above ``EXACT_INTEGRATION_CAP_BITS``; against a
+    point mass (a one-point law) the average is the single log-ratio to the
+    vacuum.
     """
     Vset = V if isinstance(V, SiteSet) else SiteSet(V)
     if len(Vset) == 0:
@@ -182,7 +185,7 @@ def relative_energy(
 
     law = alpha.law(ctx.spec)
     rest = [s for s in ctx.eta_domain if s not in Vset]
-    _check_integration(len(ctx.eta_domain), law, cap_bits)
+    _check_integration(len(ctx.eta_domain), law)
     acc = 0.0
     for assign, w in _product_assignments(rest, law):
         for s in Vset:
@@ -254,70 +257,6 @@ def _entry_from_json(blob: dict):
     raise ConfigError(f"unknown potential entry {blob!r}")
 
 
-class _FlatEntries:
-    """A table's entries in support order, as flat arrays for one gather.
-
-    Entry ``e`` reads ``values[offset[e] + sum_j digit(sites[pos[e, j]]) * power[e, j]]``,
-    a digit indexing ``alphabets[alphabet[e]]``; a constant entry has zero
-    powers.  ``member[e, w]`` says whether entry ``e`` holds ``sites[w]``.
-    """
-
-    def __init__(self, items: list):
-        self.sites = sorted({s for A, _ in items for s in A.sites})
-        column = {s: w for w, s in enumerate(self.sites)}
-        n, width = len(items), max((len(A) for A, _ in items), default=0)
-        self.member = np.zeros((n, len(self.sites)), dtype=bool)
-        self.pos = np.zeros((n, width), dtype=np.intp)
-        self.power = np.zeros((n, width), dtype=np.int64)
-        self.offset = np.zeros(n, dtype=np.intp)
-        self.alphabet = np.zeros(n, dtype=np.intp)
-        self.tabulated = np.zeros(n, dtype=bool)
-        self.alphabets: list = []
-        chunks, top = [], 0
-        for e, (A, entry) in enumerate(items):
-            cols = [column[s] for s in A.sites]
-            self.member[e, cols] = True
-            self.offset[e] = top
-            if isinstance(entry, ConstantEntry):
-                chunks.append([entry.v])
-                top += 1
-                continue
-            if entry.alphabet not in self.alphabets:
-                self.alphabets.append(entry.alphabet)
-            self.alphabet[e] = self.alphabets.index(entry.alphabet)
-            self.tabulated[e] = True
-            self.pos[e, : len(cols)] = cols
-            self.power[e, : len(cols)] = len(entry.alphabet) ** np.arange(len(cols))
-            chunks.append(entry.values)
-            top += len(entry.values)
-        self.values = np.concatenate(chunks) if chunks else np.empty(0)
-
-    def sums(self, Vset: SiteSet, dset: SiteSet, etas: list) -> np.ndarray:
-        """Per disorder map of ``etas``: the entries inside ``dset`` meeting ``Vset``.
-
-        Each sum adds its entries in support order from 0.0, so it equals
-        the running sum of :meth:`PotentialTable.value` over them.
-        """
-        inside = [w for w, s in enumerate(self.sites) if s in Vset]
-        outside = [w for w, s in enumerate(self.sites) if s not in dset]
-        picked = np.flatnonzero(
-            self.member[:, inside].any(axis=1) & ~self.member[:, outside].any(axis=1)
-        )
-        # constants read digit 0 of alphabet 0 at zero power, so keep one alphabet
-        digits = np.zeros((len(etas), len(self.alphabets) or 1, len(self.sites)), dtype=np.intp)
-        for a, alphabet in enumerate(self.alphabets):
-            read = picked[self.tabulated[picked] & (self.alphabet[picked] == a)]
-            for w in np.flatnonzero(self.member[read].any(axis=0)).tolist():
-                for i, eta in enumerate(etas):
-                    if eta is None:
-                        raise ConfigError("entry is disorder-dependent; no eta given")
-                    digits[i, a, w] = alphabet.index(eta[self.sites[w]])
-        at = digits[:, self.alphabet[picked, None], self.pos[picked]]
-        terms = np.zeros((len(etas), len(picked) + 1))
-        terms[:, 1:] = self.values[self.offset[picked] + (at * self.power[picked]).sum(axis=2)]
-        return np.add.accumulate(terms, axis=1)[:, -1]
-
-
 class PotentialTable:
     """Finite-support potential on subsets of a window.
 
@@ -340,7 +279,6 @@ class PotentialTable:
         self._entries: dict = {}
         self._sets: dict = {}  # key -> its SiteSet, built once
         self._order: list | None = None  # sorted keys, dropped when a key is added
-        self._flat: _FlatEntries | None = None  # built by a partial sum, dropped by set
 
     def set(self, A, entry) -> None:
         key = _sites_key(A)
@@ -355,13 +293,6 @@ class PotentialTable:
             self._sets[key] = A if isinstance(A, SiteSet) else SiteSet(key)
             self._order = None
         self._entries[key] = entry
-        self._flat = None
-
-    def _sums(self, Vset: SiteSet, dset: SiteSet, etas: list) -> np.ndarray:
-        """:meth:`_FlatEntries.sums` of this table's entries."""
-        if self._flat is None:
-            self._flat = _FlatEntries(self.items())
-        return self._flat.sums(Vset, dset, etas)
 
     def _sorted_keys(self) -> list:
         if self._order is None:
@@ -432,15 +363,15 @@ class PotentialTable:
 # ---------------------------------------------------------------------------
 
 
-def _transform_sites(window, cap: int, disorder_values: Sequence | None = None) -> tuple:
+def _transform_sites(window, disorder_values: Sequence | None = None) -> tuple:
     """The window's sites in bit order, once the transform's caps admit it."""
     if isinstance(window, Box):
         sites = tuple(window.sites())
     else:
         sites = tuple(sorted(as_site(s) for s in window))
     n = len(sites)
-    if n > cap:
-        raise CapExceededError("subset transform window", n, cap)
+    if n > SUBSET_ENUMERATION_CAP:
+        raise CapExceededError("subset transform window", n, SUBSET_ENUMERATION_CAP)
     if disorder_values is not None:
         bits = n + n * math.log2(len(disorder_values))
         if bits > TABULATION_CAP_BITS:
@@ -465,7 +396,6 @@ def mobius_potential(
     *,
     disorder_values: Sequence | None = None,
     alpha_tag: str = "",
-    cap: int = SUBSET_ENUMERATION_CAP,
 ) -> PotentialTable:
     """Inclusion-exclusion transform of ``energy`` over subsets of a window.
 
@@ -478,7 +408,7 @@ def mobius_potential(
     bitmasks, so the inverse identity (subset sums of entries recover the
     energy) holds to round-off.
     """
-    sites = _transform_sites(window, cap, disorder_values)
+    sites = _transform_sites(window, disorder_values)
     n = len(sites)
     table = PotentialTable(window, alpha_tag)
     subsets = [
@@ -519,7 +449,6 @@ def relative_energy_table(
     alpha: NormalizingMeasure,
     *,
     window=None,
-    cap: int = SUBSET_ENUMERATION_CAP,
 ) -> PotentialTable:
     """Möbius potential of this context's relative energy over its window.
 
@@ -535,12 +464,12 @@ def relative_energy_table(
     """
     window = window if window is not None else ctx.box
     values = ctx.spec.disorder_values
-    sites = _transform_sites(window, cap, values)
+    sites = _transform_sites(window, values)
     if not SiteSet(sites).issubset(ctx.box):
         raise ValueError(f"window {sites} is not inside the box")
     domain = ctx.eta_domain
     law = alpha.law(ctx.spec)
-    _check_integration(len(domain), law, EXACT_INTEGRATION_CAP_BITS)
+    _check_integration(len(domain), law)
     items = _law_items(law)
 
     # domain site s takes a digit over choices[s], the first site fastest
@@ -580,13 +509,7 @@ def relative_energy_table(
         np.multiply(w[:, None], logz[off[:, None] + at], out=terms[1:])
         return np.add.accumulate(terms, axis=0)[-1] - mean
 
-    return mobius_potential(
-        window,
-        rows,
-        disorder_values=values,
-        alpha_tag=alpha.tag(),
-        cap=cap,
-    )
+    return mobius_potential(window, rows, disorder_values=values, alpha_tag=alpha.tag())
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +564,17 @@ def _summation_region(table: PotentialTable, delta) -> SiteSet:
 def partial_sum(table: PotentialTable, V, delta, eta: Mapping | None = None) -> float:
     """Sum of entries inside ``delta`` that meet ``V``, in support order.
 
-    Every entry is read at ``eta`` by one gather over the table's flat values.
+    Runs over ``table.support(eta)`` from 0.0 and adds :meth:`PotentialTable.value`
+    at ``eta`` for each entry it keeps, so a table whose entries depend on
+    the configuration (a :class:`ClusterPotentialTable`) sums its own.
     """
     Vset = V if isinstance(V, SiteSet) else SiteSet(V)
-    if len(Vset) == 0:
-        return 0.0
-    return float(table._sums(Vset, _summation_region(table, delta), [eta])[0])
+    dset = _summation_region(table, delta)
+    total = 0.0
+    for A in table.support(eta):
+        if not Vset.isdisjoint(A) and A.issubset(dset):
+            total += table.value(A, eta)
+    return total
 
 
 def partial_sum_expected(
@@ -655,8 +583,6 @@ def partial_sum_expected(
     delta,
     eta: Mapping,
     alpha: NormalizingMeasure,
-    *,
-    cap_bits: int = EXACT_INTEGRATION_CAP_BITS,
 ) -> float:
     """The averaged log-ratio the partial sum must reproduce.
 
@@ -676,7 +602,7 @@ def partial_sum_expected(
     mid = [s for s in dset if s not in Vset and s in set(ctx.eta_domain)]
     far = [s for s in ctx.eta_domain if s not in dset]
     law = alpha.law(ctx.spec)
-    _check_integration(len(Vset) + len(far), law, cap_bits)
+    _check_integration(len(Vset) + len(far), law)
     total = 0.0
     for assign, w in _product_assignments(list(Vset) + far, law):
         env = {s: eta[s] for s in mid}
@@ -699,18 +625,18 @@ def reconstruct_conditional(
     """Conditional law on ``V`` from annealed terms plus table partial sums.
 
     The weights of :meth:`QKernelContext.joint_conditional` (terms from the
-    context's tables, 0 where the law does not charge the patch), with the
-    partial sum of the table over ``delta`` at the patch's disorder in place
-    of log Z.  At ``delta`` equal to the full window this reproduces the
-    exact conditional of the joint measure.  Returns ``{(spins, etas):
-    probability}`` like the direct route.
+    context's tables, 0 where the law does not charge the patch), with
+    :func:`partial_sum` of the table over ``delta`` at each patch code's
+    disorder in place of log Z.  At ``delta`` equal to the full window this
+    reproduces the exact conditional of the joint measure.  Returns
+    ``{(spins, etas): probability}`` like the direct route.
     """
     Vset = ctx._check_window(V)
     dset = _summation_region(table, delta)
 
     def deflate(codes: np.ndarray) -> np.ndarray:
-        etas = [ctx.eta_of(c) for c in codes.flat]
-        return table._sums(Vset, dset, etas).reshape(codes.shape)
+        sums = [partial_sum(table, Vset, dset, ctx.eta_of(c)) for c in codes.flat]
+        return np.reshape(sums, codes.shape)
 
     return ctx._conditional_at(Vset, sigma_rest, eta_rest, deflate)
 
@@ -750,35 +676,29 @@ def check_alpha_normalization(
 ) -> float:
     """Worst one-site average of any entry (zero for a normalized table).
 
-    For a product measure, averages each entry over one site at a time with
-    the other sites swept over the law's support; for a point mass, evaluates
-    each entry with one site at the vacuum value and the others over the
-    whole alphabet.  The two kinds check different sets of patterns, so they
-    keep separate branches.  Returns the maximum absolute result.
+    Averages each entry over one site at a time against the law (``law``,
+    else the measure's own; a point mass averages against its one-point law
+    at the vacuum and ignores ``law``), with the other sites over the
+    entry's whole alphabet.  The average on one site cancels whatever the
+    other sites hold, so a value the law does not charge is checked too.
+    Returns the maximum absolute result.
     """
+    if not alpha.is_product:
+        law = {alpha.vacuum_fill: 1.0}
+    elif law is None:
+        law = dict(alpha.nu or {})
+    items = _law_items(law)
     worst = 0.0
     for A, entry in table.items():
         if isinstance(entry, ConstantEntry):
             worst = max(worst, abs(entry.v))
             continue
-        m = len(A)
-        if alpha.is_product:
-            use_law = law if law is not None else dict(alpha.nu or {})
-            if not use_law:
-                raise ConfigError("need a law to average against")
-            items = _law_items(use_law)
-            # every site runs over the law's values only
-            tensor = _law_tensor(entry, m, [v for v, _ in items])
-            for axis in range(m):
-                acc = 0.0
-                for i, (_, w) in enumerate(items):
-                    acc = acc + w * tensor.take(i, axis=axis)
-                worst = max(worst, float(np.abs(acc).max()))
-        else:
-            tensor = _law_tensor(entry, m, entry.alphabet)
-            vacuum = entry.alphabet.index(alpha.vacuum_fill)
-            for axis in range(m):
-                worst = max(worst, float(np.abs(tensor.take(vacuum, axis=axis)).max()))
+        tensor = _law_tensor(entry, len(A), entry.alphabet)
+        for axis in range(len(A)):
+            acc = 0.0
+            for v, w in items:
+                acc = acc + w * tensor.take(entry.alphabet.index(v), axis=axis)
+            worst = max(worst, float(np.abs(acc).max()))
     return worst
 
 
@@ -1058,8 +978,6 @@ def shell_cell_terms(
     m: int,
     eta: Mapping,
     alpha: NormalizingMeasure,
-    *,
-    cap_bits: int = EXACT_INTEGRATION_CAP_BITS,
 ) -> list:
     """Per-site telescoping of one shell-cell value, exactly integrated.
 
@@ -1074,14 +992,14 @@ def shell_cell_terms(
     new_sites = [y for y in big if y not in small]
     out = []
     if m == 1:
-        base = relative_energy(ctx, SiteSet([x]), {x: eta[x]}, alpha, cap_bits=cap_bits)
+        base = relative_energy(ctx, SiteSet([x]), {x: eta[x]}, alpha)
         out.append((x, float(base)))
     law = alpha.law(ctx.spec)
     for i, y in enumerate(new_sites):
         # disorder kept at eta on the smaller cell and earlier shell sites
         kept = [s for s in small if s != x] + new_sites[:i]
         free = [s for s in ctx.eta_domain if s != x and s != y and s not in kept]
-        _check_integration(len(free) + 2, law, cap_bits)
+        _check_integration(len(free) + 2, law)
         acc = 0.0
         for assign, w in _product_assignments(free, law):
             for vx, wx in _law_items(law):
@@ -1274,7 +1192,7 @@ def _occupied_log_partition(sites: tuple, J: float) -> float:
     return engine.log_partition_enumerate(ens.compile())
 
 
-def dilute_vacuum_coeff(J: float, A, cap: int = ISING_ENUM_CAP) -> float:
+def dilute_vacuum_coeff(J: float, A) -> float:
     """Inclusion-exclusion coefficient of the dilute model's vacuum potential.
 
     The signed subset sum of ``log(Z0 / 2^{|subset|})`` over subsets of
@@ -1286,8 +1204,8 @@ def dilute_vacuum_coeff(J: float, A, cap: int = ISING_ENUM_CAP) -> float:
     n = len(key)
     if n == 0:
         return 0.0
-    if n > cap:
-        raise CapExceededError("coefficient window", n, cap)
+    if n > ISING_ENUM_CAP:
+        raise CapExceededError("coefficient window", n, ISING_ENUM_CAP)
     J = float(J)
     log2 = math.log(2.0)
     total = 0.0
@@ -1351,10 +1269,6 @@ class ClusterPotentialTable(PotentialTable):
         eta = self.default_eta if eta is None else eta
         occupied = [s for s in self.window_sites if eta.get(s) == 1]
         return [self._closure(C) for C in connected_components(occupied)]
-
-    def _sums(self, Vset: SiteSet, dset: SiteSet, etas: list) -> np.ndarray:
-        # the entries depend on the configuration: sum each one's own table
-        return np.concatenate([self.materialize(eta)._sums(Vset, dset, [eta]) for eta in etas])
 
     def materialize(self, eta: Mapping | None = None) -> PotentialTable:
         """A plain numeric table of this potential at one configuration."""

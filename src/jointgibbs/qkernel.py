@@ -448,10 +448,10 @@ class QKernelContext:
             self._arrays = (terms, spin_weights, eta_weights)
         return self._arrays
 
-    def _window(self, V, cap: int) -> SiteSet:
+    def _window(self, V) -> SiteSet:
         Vset = self._check_window(V)
-        if len(Vset) > cap:
-            raise CapExceededError("joint conditional window", len(Vset), cap)
+        if len(Vset) > JOINT_WINDOW_CAP:
+            raise CapExceededError("joint conditional window", len(Vset), JOINT_WINDOW_CAP)
         return Vset
 
     def _conditional_table(self, Vset: SiteSet, spin_rows, rest_codes, deflate) -> tuple:
@@ -511,13 +511,7 @@ class QKernelContext:
         patches, table = self._conditional_table(Vset, np.array([row]), [rest], deflate)
         return dict(zip(patches, table[0, 0].tolist()))
 
-    def joint_conditional(
-        self,
-        V,
-        sigma_rest: Mapping,
-        eta_rest: Mapping,
-        cap: int = JOINT_WINDOW_CAP,
-    ) -> dict:
+    def joint_conditional(self, V, sigma_rest: Mapping, eta_rest: Mapping) -> dict:
         """Conditional law of the joint measure on ``V`` given the rest.
 
         Returns ``{(spin tuple, disorder tuple): probability}`` over joint
@@ -528,9 +522,9 @@ class QKernelContext:
         patch's code, read through :meth:`logz`; a patch whose disorder the
         law does not charge gets 0.
         """
-        return self._conditional_at(self._window(V, cap), sigma_rest, eta_rest, self.logz)
+        return self._conditional_at(self._window(V), sigma_rest, eta_rest, self.logz)
 
-    def joint_conditional_all(self, V, cap: int = JOINT_WINDOW_CAP):
+    def joint_conditional_all(self, V):
         """Conditional tables for every conditioning configuration at once.
 
         Returns ``(rest_spin_sites, rest_eta_sites, patches, table)`` where
@@ -541,7 +535,7 @@ class QKernelContext:
         (terms from the context's tables, 0 where the law does not charge the
         patch), with every log Z read by code in one :meth:`logz` call.
         """
-        Vset = self._window(V, cap)
+        Vset = self._window(V)
         q, k = len(self.spec.spin_values), len(self.spec.disorder_values)
         spin_cols = [i for i, s in enumerate(self._box_sites.sites) if s not in Vset]
         eta_cols = [i for i, s in enumerate(self.eta_domain) if s not in Vset]

@@ -306,10 +306,11 @@ def partial_sum_loop(table, V, delta, eta=None):
 def alpha_normalization_loop(table, alpha, law):
     """Worst one-site average of any table entry, one pattern at a time.
 
-    Product measure: each entry averaged over one site's law values, the
-    other sites running over the law's values too; point mass: each entry
-    with one site at the vacuum, the others over the whole alphabet.
+    Each entry averaged over one site's law values (a point mass: the vacuum
+    at weight 1), the other sites running over the entry's whole alphabet.
     """
+    if not alpha.is_product:
+        law = {alpha.vacuum_fill: 1.0}
     items = [(v, w) for v, w in law.items() if w > 0]
     worst = 0.0
     for A, entry in table.items():
@@ -319,19 +320,13 @@ def alpha_normalization_loop(table, alpha, law):
             continue
         for x in key:
             others = [s for s in key if s != x]
-            if alpha.is_product:
-                for combo in product(items, repeat=len(others)):
-                    patch = {s: v for s, (v, _) in zip(others, combo)}
-                    acc = 0.0
-                    for v, w in items:
-                        patch[x] = v
-                        acc += w * entry.value(key, patch)
-                    worst = max(worst, abs(acc))
-            else:
-                for combo in product(entry.alphabet, repeat=len(others)):
-                    patch = dict(zip(others, combo))
-                    patch[x] = alpha.vacuum_fill
-                    worst = max(worst, abs(entry.value(key, patch)))
+            for combo in product(entry.alphabet, repeat=len(others)):
+                patch = dict(zip(others, combo))
+                acc = 0.0
+                for v, w in items:
+                    patch[x] = v
+                    acc += w * entry.value(key, patch)
+                worst = max(worst, abs(acc))
     return worst
 
 

@@ -9,10 +9,12 @@ from jointgibbs.lattice import Box, SiteSet
 from jointgibbs.model import make_dilute
 from jointgibbs.potentials import (
     ClusterPotentialTable,
+    PotentialTable,
     cluster_potential,
     dilute_vacuum_coeff,
     ising_free_log_partition,
     mobius_potential,
+    partial_sum,
     reconstruct_conditional,
 )
 from jointgibbs.qkernel import QKernelContext
@@ -281,6 +283,53 @@ def test_cluster_reconstruction_every_disorder_pattern():
         rebuilt = reconstruct_conditional(ctx, table, V, sites, sigma_rest, eta_rest)
         for key, prob in direct.items():
             assert rebuilt[key] == pytest.approx(prob, abs=1e-10)
+
+
+class MaterializedAtEachEta(PotentialTable):
+    """A cluster table read through its plain table at every configuration."""
+
+    def __init__(self, cluster):
+        super().__init__(cluster.window_box)
+        self.cluster = cluster
+
+    def support(self, eta=None):
+        return self.cluster.materialize(eta).support(eta)
+
+    def value(self, A, eta=None):
+        return self.cluster.materialize(eta).value(A, eta)
+
+
+def test_cluster_partial_sums_equal_the_materialized_table():
+    # the cluster table needs no reader of its own: support and value suffice
+    J = 0.8
+    box = Box.from_shape(3, 4)
+    sites = box.sites()
+    table = ClusterPotentialTable(J, box, {})
+    ctx = QKernelContext(make_dilute(J=J, p=0.5), box)
+    rng = np.random.default_rng(57)
+    for _ in range(40):
+        eta = {s: int(rng.integers(0, 2)) for s in sites}
+        flat = table.materialize(eta)
+        delta = [s for s in sites if rng.random() < 0.8]
+        V = [s for s in delta if rng.random() < 0.3] or delta[:1]
+        # the two supports hold the same sets, perhaps listed in another order
+        assert partial_sum(table, V, delta, eta) == pytest.approx(
+            partial_sum(flat, V, delta, eta), abs=1e-13
+        )
+        assert partial_sum(table, V, sites, eta) == pytest.approx(
+            oracles.partial_sum_loop(flat, V, sites, eta), abs=1e-13
+        )
+        x = sites[int(rng.integers(0, len(sites)))]
+        rest = [s for s in sites if s != x]
+        sigma_rest = {s: int(rng.choice([-1, 1])) for s in rest}
+        eta_rest = {s: eta[s] for s in rest}
+        got = reconstruct_conditional(ctx, table, [x], sites, sigma_rest, eta_rest)
+        want = reconstruct_conditional(
+            ctx, MaterializedAtEachEta(table), [x], sites, sigma_rest, eta_rest
+        )
+        assert got.keys() == want.keys()
+        for key, prob in want.items():
+            assert got[key] == pytest.approx(prob, abs=1e-13)
 
 
 def test_cluster_materialize_and_json():

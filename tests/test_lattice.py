@@ -83,7 +83,7 @@ def test_enumerate_subsets_empty_window():
 
 def test_enumerate_subsets_cap():
     with pytest.raises(CapExceededError):
-        next(enumerate_subsets(Box.from_shape(30), cap=24))
+        next(enumerate_subsets(Box.from_shape(30)))
 
 
 def test_components_1d():
@@ -150,3 +150,9 @@ def test_box_basics():
 def test_siteset_diameter():
     assert SiteSet().diameter() == 0
     assert SiteSet([(0, 0), (2, 1)]).diameter() == 2
+
+
+@given(st.sets(st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(0, 3)), max_size=12))
+def test_siteset_diameter_is_the_largest_pairwise_distance(sites):
+    pairwise = max((linf_dist(a, b) for a in sites for b in sites), default=0)
+    assert SiteSet(sites).diameter() == pairwise

@@ -83,9 +83,11 @@ def test_relative_energy_single_site_closed_form():
 
 
 def test_relative_energy_integration_cap():
-    ctx = rfim_ctx((3,))
+    # 21 sites of a two-value law are 21 bits, one past EXACT_INTEGRATION_CAP_BITS
+    ctx = rfim_ctx((21,))
     with pytest.raises(CapExceededError):
-        relative_energy(ctx, [(0,)], {(0,): 1}, PRODUCT, cap_bits=2)
+        relative_energy(ctx, [(0,)], {(0,): 1}, PRODUCT)
+    assert ctx.counts["requests"] == 0
 
 
 def test_relative_energy_patch_outside_box():
@@ -175,9 +177,10 @@ def test_mobius_tabulated_agrees_with_numeric_slices():
 
 
 def test_mobius_window_cap():
-    sites = Box.from_shape(5).sites()
+    # one site past SUBSET_ENUMERATION_CAP; the energy is never called
+    sites = Box.from_shape(25).sites()
     with pytest.raises(CapExceededError):
-        mobius_potential(sites, lambda A: 0.0, cap=4)
+        mobius_potential(sites, lambda A: 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +243,21 @@ def test_alpha_normalization_equals_the_per_pattern_loop(alpha):
         assert check_alpha_normalization(table, alpha, law=law) == (
             oracles.alpha_normalization_loop(table, alpha, law)
         )
+
+
+def test_alpha_normalization_reads_values_the_law_does_not_charge():
+    # nu(0) = 0: averaging site (0,) must still see site (1,) at 0
+    spec = make_rfim(J=0.45, h=0.35, disorder_values=(-1, 0, 1), nu={-1: 0.3, 0: 0.0, 1: 0.7})
+    ctx = QKernelContext(spec, Box.from_shape(3))
+    table = relative_energy_table(ctx, PRODUCT)
+    assert check_alpha_normalization(table, PRODUCT, law=spec.nu) <= 1e-10
+    pair = [(0,), (1,)]
+    values = table.entry(pair).values.copy()
+    values[3:6] += 0.25  # pattern index d0 + 3 d1, and digit 1 of site (1,) is 0
+    table.set(pair, TabulatedEntry(values, spec.disorder_values))
+    worst = check_alpha_normalization(table, PRODUCT, law=spec.nu)
+    assert worst == pytest.approx(0.25, abs=1e-10)
+    assert worst == oracles.alpha_normalization_loop(table, PRODUCT, spec.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +370,18 @@ def test_nested_differences_are_the_signed_subset_sums():
 
 
 @pytest.mark.parametrize(
-    "shape,window,cap,alpha",
+    "shape,window,alpha",
     [
-        ((5,), None, 4, PRODUCT),  # the subset-transform window
-        ((12,), None, 24, VACUUM_PLUS),  # TABULATION_CAP_BITS
-        ((21,), [(0,), (1,)], 24, PRODUCT),  # EXACT_INTEGRATION_CAP_BITS
+        ((25,), None, PRODUCT),  # SUBSET_ENUMERATION_CAP
+        ((12,), None, VACUUM_PLUS),  # TABULATION_CAP_BITS
+        ((21,), [(0,), (1,)], PRODUCT),  # EXACT_INTEGRATION_CAP_BITS
     ],
     ids=["window", "tabulation", "integration"],
 )
-def test_relative_table_caps_fire_before_any_read(shape, window, cap, alpha):
+def test_relative_table_caps_fire_before_any_read(shape, window, alpha):
     ctx = rfim_ctx(shape)
     with pytest.raises(CapExceededError):
-        relative_energy_table(ctx, alpha, window=window, cap=cap)
+        relative_energy_table(ctx, alpha, window=window)
     assert ctx.counts["requests"] == 0
 
 

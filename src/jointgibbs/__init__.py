@@ -14,20 +14,14 @@ from .lattice import (
     Box,
     SiteOrder,
     SiteSet,
-    boundary,
     connected_components,
-    enumerate_subsets,
     linf_dist,
     r_neighborhood,
 )
 from .model import (
-    AnnealedPotential,
     BoundaryCondition,
     ModelSpec,
-    annealed_potential,
-    delta_H,
     load_model,
-    make_custom,
     make_dilute,
     make_random_bond,
     make_rfim,
@@ -45,7 +39,6 @@ from .potentials import (
     check_alpha_normalization,
     check_martingale,
     class_value_via_energy,
-    cluster_potential,
     dilute_vacuum_coeff,
     epsilon_diagnostic,
     ising_free_log_partition,
@@ -65,7 +58,6 @@ from .disorder import (
     c_xy,
     cbar,
     decay_budget,
-    energy_energy_correlation,
 )
 from .stats import EstimatedValue, batch_means, slope, slope_with_ci
 

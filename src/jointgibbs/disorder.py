@@ -291,27 +291,6 @@ def decay_budget(
 
 
 # ---------------------------------------------------------------------------
-# energy-energy correlations
-# ---------------------------------------------------------------------------
-
-
-def energy_energy_correlation(
-    ctx: QKernelContext, x, e, y, e_prime, eta_tilde: Mapping
-) -> float:
-    """Connected 4-spin function of two disjoint bonds, quenched at eta_tilde."""
-    x, y = as_site(x), as_site(y)
-    x2 = tuple(a + b for a, b in zip(x, e))
-    y2 = tuple(a + b for a, b in zip(y, e_prime))
-    if {x, x2} & {y, y2}:
-        raise ValueError(f"bonds ({x},{x2}) and ({y},{y2}) overlap")
-    ens = ctx.ensemble(eta_tilde)
-    four = ens.spin_product([x, x2, y, y2])
-    first = ens.spin_product([x, x2])
-    second = ens.spin_product([y, y2])
-    return four - first * second
-
-
-# ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
 

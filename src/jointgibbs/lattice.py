@@ -1,10 +1,7 @@
 """Finite-lattice geometry: boxes in Z^d, site subsets, orders, neighborhoods.
 
 Sites are plain integer tuples.  Site subsets are canonically the
-lexicographically sorted tuple of their sites; inside a named window box a
-subset is equivalently a bitmask over the window's lexicographically ordered
-sites, which is the encoding used for subset enumeration and for the
-inclusion-exclusion transforms downstream.
+lexicographically sorted tuple of their sites.
 
 Conventions (fixed once, used everywhere):
 
@@ -21,11 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import CapExceededError
-
 Site = tuple  # integer coordinate tuple, any d >= 1
-
-SUBSET_ENUMERATION_CAP = 24
 
 
 def as_site(coords: Sequence[int]) -> Site:
@@ -95,16 +88,6 @@ class Box:
         ranges = [range(l, u + 1) for l, u in zip(self.lower, self.upper)]
         return [tuple(p) for p in itertools.product(*ranges)]
 
-    def index(self, site: Site) -> int:
-        """Lexicographic rank of ``site`` within the box."""
-        site = as_site(site)
-        if site not in self:
-            raise KeyError(f"{site} not in {self}")
-        idx = 0
-        for l, u, c in zip(self.lower, self.upper, site):
-            idx = idx * (u - l + 1) + (c - l)
-        return idx
-
     def expand(self, r: int) -> "Box":
         """The box grown by ``r`` in every direction (its r-neighborhood)."""
         if r < 0:
@@ -123,12 +106,7 @@ class Box:
 
 
 class SiteSet:
-    """An immutable finite set of sites, canonically in lexicographic order.
-
-    Supports the usual set algebra plus bitmask encoding relative to a window
-    box (bit i of the mask corresponds to the window's i-th site in
-    lexicographic order).
-    """
+    """An immutable finite set of sites, canonically in lexicographic order."""
 
     __slots__ = ("_sites", "_set")
 
@@ -178,12 +156,8 @@ class SiteSet:
     def intersection(self, other: "SiteSet") -> "SiteSet":
         return SiteSet(self._set & other._set)
 
-    def difference(self, other: "SiteSet") -> "SiteSet":
-        return SiteSet(self._set - other._set)
-
     __or__ = union
     __and__ = intersection
-    __sub__ = difference
 
     def issubset(self, other) -> bool:
         if isinstance(other, SiteSet):
@@ -194,37 +168,6 @@ class SiteSet:
 
     def isdisjoint(self, other: "SiteSet") -> bool:
         return self._set.isdisjoint(other._set)
-
-    # -- bitmask encoding -----------------------------------------------------
-    def mask(self, window: "Box | SiteSet") -> int:
-        """Bitmask of this set relative to ``window`` (lex site order)."""
-        wsites = window.sites() if isinstance(window, Box) else list(window)
-        pos = {s: i for i, s in enumerate(wsites)}
-        m = 0
-        for s in self._sites:
-            try:
-                m |= 1 << pos[s]
-            except KeyError:
-                raise ValueError(f"site {s} outside window") from None
-        return m
-
-    @classmethod
-    def from_mask(cls, window: "Box | SiteSet", mask: int) -> "SiteSet":
-        wsites = window.sites() if isinstance(window, Box) else list(window)
-        return cls(s for i, s in enumerate(wsites) if mask >> i & 1)
-
-    @classmethod
-    def from_box(cls, box: Box) -> "SiteSet":
-        return cls(box.sites())
-
-    # -- serialization ----------------------------------------------------------
-    def to_json(self) -> list:
-        return [list(s) for s in self._sites]
-
-    @classmethod
-    def from_json(cls, data: Iterable) -> "SiteSet":
-        return cls(tuple(c) for c in data)
-
 
 def r_neighborhood(A: SiteSet, r: int) -> SiteSet:
     """The set of sites within sup-norm distance r of A (A-bar in the text)."""
@@ -238,25 +181,6 @@ def r_neighborhood(A: SiteSet, r: int) -> SiteSet:
         for off in offsets:
             out.add(tuple(c + o for c, o in zip(s, off)))
     return SiteSet(out)
-
-
-def boundary(A: SiteSet, r: int) -> SiteSet:
-    """The boundary ring: r_neighborhood(A, r) minus A."""
-    return r_neighborhood(A, r) - A
-
-
-def enumerate_subsets(window) -> Iterator[SiteSet]:
-    """Yield every subset of ``window`` once, in increasing bitmask order.
-
-    ``window`` may be a Box or a SiteSet.  Refuses windows larger than
-    ``SUBSET_ENUMERATION_CAP`` sites with a size report.
-    """
-    wsites = window.sites() if isinstance(window, Box) else list(window)
-    n = len(wsites)
-    if n > SUBSET_ENUMERATION_CAP:
-        raise CapExceededError("subset enumeration window", n, SUBSET_ENUMERATION_CAP)
-    for m in range(1 << n):
-        yield SiteSet(s for i, s in enumerate(wsites) if m >> i & 1)
 
 
 def _neighbors(site: Site):

@@ -15,7 +15,8 @@ Built-in factories:
 * :func:`make_dilute` — site dilution: a bond contributes only when both
   endpoints are occupied.
 
-Custom models supply a generic term callback plus a shape enumerator.
+Custom models build a :class:`ModelSpec` from a generic term callback plus a
+shape enumerator.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CapExceededError, ConfigError
-from .lattice import Site, SiteSet, as_site, linf_dist
+from .lattice import Site, SiteSet, as_site
 
 LOCAL_FLIP_CAP_BITS = 24  # spin and disorder patterns in sup_delta_h_single_site
 
@@ -82,24 +83,30 @@ class ModelSpec:
 
     # -- term evaluation ---------------------------------------------------
 
-    def phi(self, A: SiteSet, sigma: Mapping, eta: Mapping) -> float:
-        """Interaction term on the site set ``A`` (0.0 when unsupported)."""
-        sites = A.sites if isinstance(A, SiteSet) else tuple(sorted(as_site(s) for s in A))
-        if len(sites) == 1 and self.site_term is not None:
-            x = sites[0]
-            return self.site_term(x, sigma[x], eta[x])
-        if len(sites) == 2 and self.pair_term is not None:
+    def term(self, A) -> Callable:
+        """The term on the site set ``A`` as ``fn(sigma, eta) -> float``.
+
+        Which callback serves ``A`` (site term, nearest-neighbour pair term,
+        generic term within range, or none: 0.0) is decided here, once, so a
+        table over many spin and disorder states tests ``A`` only once.
+        """
+        A = A if isinstance(A, SiteSet) else SiteSet(A)
+        sites = A.sites
+        site, pair, generic = self.site_term, self.pair_term, self.generic_term
+        if len(sites) == 1 and site is not None:
+            (x,) = sites
+            return lambda sigma, eta: site(x, sigma[x], eta[x])
+        if len(sites) == 2 and pair is not None:
             x, y = sites
             if sum(abs(a - b) for a, b in zip(x, y)) == 1:
-                return self.pair_term(x, y, sigma[x], sigma[y], eta[x], eta[y])
-        if self.generic_term is not None:
-            diam = max(
-                (linf_dist(a, b) for a in sites for b in sites), default=0
-            )
-            if diam > self.range:
-                return 0.0
-            return self.generic_term(SiteSet(sites), sigma, eta)
-        return 0.0
+                return lambda sigma, eta: pair(x, y, sigma[x], sigma[y], eta[x], eta[y])
+        if generic is not None and A.diameter() <= self.range:
+            return lambda sigma, eta: generic(A, sigma, eta)
+        return lambda sigma, eta: 0.0
+
+    def phi(self, A: SiteSet, sigma: Mapping, eta: Mapping) -> float:
+        """Interaction term on the site set ``A`` (0.0 when unsupported)."""
+        return self.term(A)(sigma, eta)
 
     def interaction_sets(self, region: Iterable[Site]) -> list:
         """All site sets with nonzero terms meeting ``region`` (deduplicated).
@@ -137,12 +144,6 @@ class ModelSpec:
             return self.nu[value]
         except KeyError:
             return 0.0
-
-    def log_nu(self, value) -> float:
-        w = self.nu_weight(value)
-        if w <= 0.0:
-            raise ConfigError(f"disorder value {value!r} has zero weight")
-        return math.log(w)
 
 
 @dataclass(frozen=True)
@@ -187,11 +188,6 @@ class BoundaryCondition:
         if self.spin_fill is not None:
             return self.spin_fill
         raise ConfigError(f"boundary spin missing at {site}")
-
-    def with_spin(self, site: Site, value) -> "BoundaryCondition":
-        sig = dict(self.sigma) if self.sigma else {}
-        sig[as_site(site)] = value
-        return BoundaryCondition("fixed", sig, self.spin_fill, self.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -288,29 +284,6 @@ def make_dilute(J: float, p: float) -> ModelSpec:
     )
 
 
-def make_custom(
-    name: str,
-    spin_values: Sequence,
-    disorder_values: Sequence,
-    nu: Mapping,
-    range: int,
-    term: Callable,
-    shapes: Callable,
-    params: Mapping | None = None,
-) -> ModelSpec:
-    """Model from a generic term callback plus a shape enumerator."""
-    return ModelSpec(
-        name=name,
-        spin_values=tuple(spin_values),
-        disorder_values=tuple(disorder_values),
-        nu=dict(nu),
-        range=range,
-        generic_term=term,
-        generic_shapes=shapes,
-        params=dict(params or {}),
-    )
-
-
 _BUILTINS = {"rfim", "random_bond", "dilute"}
 
 
@@ -358,63 +331,6 @@ def load_model(cfg: Mapping) -> ModelSpec:
 def _parse_number(text):
     v = float(text)
     return int(v) if v == int(v) else v
-
-
-# ---------------------------------------------------------------------------
-# annealed potential and local disorder-flip energies
-# ---------------------------------------------------------------------------
-
-
-class AnnealedPotential:
-    """Interaction for the joint (spin, disorder) measure.
-
-    Adds ``-log nu(eta_x)`` to each singleton so that the disorder law is
-    carried by the potential; on every other set it equals the model term.
-    """
-
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-
-    def value(self, A: SiteSet, sigma: Mapping, eta: Mapping) -> float:
-        v = self.spec.phi(A, sigma, eta)
-        sites = A.sites if isinstance(A, SiteSet) else tuple(A)
-        if len(sites) == 1:
-            v -= self.spec.log_nu(eta[sites[0]])
-        return v
-
-    def __call__(self, A, sigma, eta) -> float:
-        return self.value(A, sigma, eta)
-
-
-def annealed_potential(spec: ModelSpec) -> AnnealedPotential:
-    return AnnealedPotential(spec)
-
-
-def delta_H(
-    spec: ModelSpec,
-    V: Iterable[Site],
-    sigma: Mapping,
-    eta1: Mapping,
-    eta2: Mapping,
-    eta_boundary: Mapping,
-) -> float:
-    """Energy difference when disorder on ``V`` flips from eta1 to eta2.
-
-    Sums, over interaction sets meeting ``V``, the term at disorder
-    ``eta1 on V, eta_boundary outside`` minus the term at ``eta2 on V,
-    eta_boundary outside``; spins are held fixed and must cover the range-r
-    envelope of ``V``.  Antisymmetric under swapping eta1 and eta2.
-    """
-    Vset = SiteSet(V)
-    e1 = dict(eta_boundary)
-    e2 = dict(eta_boundary)
-    for x in Vset:
-        e1[x] = eta1[x]
-        e2[x] = eta2[x]
-    total = 0.0
-    for A in spec.interaction_sets(Vset):
-        total += spec.phi(A, sigma, e1) - spec.phi(A, sigma, e2)
-    return total
 
 
 def sup_delta_h_single_site(spec: ModelSpec, d: int) -> float:

@@ -43,7 +43,6 @@ from .errors import (
     WindowMismatchError,
 )
 from .lattice import (
-    SUBSET_ENUMERATION_CAP,
     Box,
     SiteOrder,
     SiteSet,
@@ -58,6 +57,7 @@ from .stats import DEFAULT_BATCHES, batch_means
 
 EXACT_INTEGRATION_CAP_BITS = 20
 TABULATION_CAP_BITS = 22
+SUBSET_ENUMERATION_CAP = 24  # window sites of a subset transform
 
 
 # ---------------------------------------------------------------------------
@@ -1059,7 +1059,6 @@ def epsilon_diagnostic(
     samples: int = 1000,
     seed: int = 0,
     alpha: NormalizingMeasure | None = None,
-    eta_x_value=None,
     batches: int = DEFAULT_BATCHES,
 ) -> ConvergenceDiagnostic:
     """Estimate the truncation error of the averaged single-site log-ratio.
@@ -1099,8 +1098,6 @@ def epsilon_diagnostic(
     strides = ctx.strides()
     x_stride = strides[pos[x]]
     outer = to_alphabet[sampler.digits(0, samples)]
-    if eta_x_value is not None:
-        outer[:, pos[x]] = alphabet.index(eta_x_value)
     outer_codes = outer @ strides
     x_term = outer[:, pos[x]] * x_stride
     # reference draws, shared by every radius whose inner average is sampled
@@ -1157,7 +1154,6 @@ def epsilon_diagnostic(
             "seed": seed,
             "exact_inner": bool(exact_inner),
             "box": ctx.box.to_json(),
-            "eta_x_value": eta_x_value,
         },
     )
 
@@ -1221,21 +1217,19 @@ class ClusterPotentialTable(PotentialTable):
     """Occupied-component potential of the dilute model.
 
     A set value is the sum, over occupied components detected inside the
-    set, of the component's free-boundary Ising log-normalization
-    (occupation-normalized by default: minus |component| log 2).  A
-    component is detected by the set exactly when the set is the
-    component's closed neighbourhood within the window, which makes the
-    value a function of the disorder on the set alone and puts every
-    component of any configuration on exactly one set.
+    set, of the component's free-boundary Ising log-normalization, less
+    |component| log 2 for the occupation.  A component is detected by the
+    set exactly when the set is the component's closed neighbourhood within
+    the window, which makes the value a function of the disorder on the set
+    alone and puts every component of any configuration on exactly one set.
     """
 
-    def __init__(self, J: float, window, eta: Mapping, normalized: bool = True):
+    def __init__(self, J: float, window, eta: Mapping):
         if isinstance(window, Box):
             super().__init__(window, alpha="vacuum:0")
         else:
             super().__init__(tuple(sorted(as_site(s) for s in window)), alpha="vacuum:0")
         self.J = float(J)
-        self.normalized = bool(normalized)
         self.default_eta = {as_site(k): v for k, v in eta.items()}
         self._window_set = SiteSet(self.window_sites)
 
@@ -1249,15 +1243,11 @@ class ClusterPotentialTable(PotentialTable):
         return SiteSet(out) & self._window_set
 
     def _component_value(self, C: SiteSet) -> float:
-        v = ising_free_log_partition(C.sites, self.J)
-        if self.normalized:
-            v -= len(C) * math.log(2.0)
-        return v
+        return ising_free_log_partition(C.sites, self.J) - len(C) * math.log(2.0)
 
     def value(self, A, eta: Mapping | None = None) -> float:
         eta = self.default_eta if eta is None else eta
         key = _sites_key(A)
-        Aset = SiteSet(key)
         occupied = [s for s in key if eta[s] == 1]
         total = 0.0
         for C in connected_components(occupied):
@@ -1275,32 +1265,12 @@ class ClusterPotentialTable(PotentialTable):
         eta = self.default_eta if eta is None else eta
         out = PotentialTable(
             self.window_box or self.window_sites, alpha=self.alpha,
-            meta={"kind": "cluster", "J": self.J, "normalized": self.normalized},
+            meta={"kind": "cluster", "J": self.J},
         )
         for A in self.support(eta):
             out.set(A, ConstantEntry(self.value(A, eta)))
         return out
 
     def to_json(self) -> dict:
-        out = self.materialize().to_json()
-        out["meta"] = {
-            "kind": "cluster",
-            "J": self.J,
-            "normalized": self.normalized,
-        }
-        return out
+        return self.materialize().to_json()
 
-
-def cluster_potential(
-    J: float, eta: Mapping, window=None, normalized: bool = True
-) -> ClusterPotentialTable:
-    """Occupied-component potential for the dilute model at a configuration.
-
-    ``window`` defaults to the sites of ``eta``.  With ``normalized=True``
-    (the default) each component carries ``log(Z0_C / 2^{|C|})``, which is
-    the form whose partial sums match the factorized normalization of the
-    dilute model; ``normalized=False`` stores the literal ``log Z0_C``.
-    """
-    if window is None:
-        window = [as_site(s) for s in eta]
-    return ClusterPotentialTable(J, window, eta, normalized)

@@ -216,10 +216,6 @@ class QKernelContext:
         rest = {s: v for s, v in eta_rest.items() if s not in window}
         return [self.code({**rest, **{s: p[s] for s in window if s in p}}) for p in patches]
 
-    def ensemble(self, eta: Mapping) -> QuenchedEnsemble:
-        """The ensemble of the box at ``eta``, a disorder assignment :meth:`code` accepts."""
-        return self._ensemble_at(self.code(eta))
-
     def _ensemble_at(self, code: int) -> QuenchedEnsemble:
         """The ensemble at ``code``, each term's table picked from its stack by code."""
         terms, _, eta_weights = self._term_arrays()

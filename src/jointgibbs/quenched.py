@@ -135,9 +135,8 @@ class QuenchedEnsemble:
         return self._system
 
     def _phi_table(self, A: SiteSet, eta: Mapping) -> tuple:
-        return engine.normalize_term(
-            self.q, *self._term_table(A, lambda sigma: self.spec.phi(A, sigma, eta))
-        )
+        term = self.spec.term(A)
+        return engine.normalize_term(self.q, *self._term_table(A, lambda sigma: term(sigma, eta)))
 
     def pattern_tables(self, A: SiteSet) -> tuple:
         """The term on ``A`` at every disorder pattern on ``A``: ``(sites, tables)``.
@@ -150,8 +149,8 @@ class QuenchedEnsemble:
             dict(zip(A.sites, pattern[::-1]))
             for pattern in product(self.spec.disorder_values, repeat=len(A.sites))
         ]
-        phi = self.spec.phi
-        idx, table = self._term_table(A, lambda sigma: [phi(A, sigma, eta) for eta in etas])
+        term = self.spec.term(A)
+        idx, table = self._term_table(A, lambda sigma: [term(sigma, eta) for eta in etas])
         # free sites and A both run in sorted order, so idx ascends and the
         # rows are already in engine.normalize_term's layout
         return tuple(idx), np.ascontiguousarray(table.T)

@@ -66,13 +66,6 @@ def batch_means(values, n_batches: int = DEFAULT_BATCHES) -> EstimatedValue:
     return EstimatedValue(mean, stderr, n, b)
 
 
-def batchwise(values, n_batches: int = DEFAULT_BATCHES) -> np.ndarray:
-    """The batch averages themselves (for derived per-batch statistics)."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    b = min(n_batches, arr.size)
-    return np.array([chunk.mean() for chunk in np.array_split(arr, b)])
-
-
 def slope(x, y) -> float:
     """Least-squares slope of y against x."""
     x = np.asarray(x, dtype=np.float64)

@@ -10,7 +10,6 @@ from jointgibbs.model import make_dilute
 from jointgibbs.potentials import (
     ClusterPotentialTable,
     PotentialTable,
-    cluster_potential,
     dilute_vacuum_coeff,
     ising_free_log_partition,
     mobius_potential,
@@ -177,7 +176,7 @@ def test_vacuum_coeff_support_frozen_2x3():
 
 def test_cluster_potential_all_empty():
     window = Box.from_shape(3)
-    table = cluster_potential(0.8, {s: 0 for s in window.sites()}, window)
+    table = ClusterPotentialTable(0.8, window, {s: 0 for s in window.sites()})
     assert table.support() == []
     assert table.value([(0,), (1,)]) == 0.0
 
@@ -185,28 +184,22 @@ def test_cluster_potential_all_empty():
 def test_cluster_potential_single_site():
     window = Box.from_shape(3)
     eta = {(0,): 0, (1,): 1, (2,): 0}
-    raw = cluster_potential(0.8, eta, window, normalized=False)
-    sets = raw.support()
+    table = ClusterPotentialTable(0.8, window, eta)
+    sets = table.support()
     assert len(sets) == 1
     assert sets[0].sites == ((0,), (1,), (2,))  # the closed neighbourhood
-    assert raw.value(sets[0], eta) == pytest.approx(LOG2, abs=1e-13)
-    normed = cluster_potential(0.8, eta, window)
-    assert normed.value(sets[0], eta) == pytest.approx(0.0, abs=1e-13)
+    # a lone occupied site: log Z0 = log 2, less its occupation normalization
+    assert table.value(sets[0], eta) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_cluster_potential_occupied_bond():
     window = Box.from_shape(4)
     eta = {(0,): 1, (1,): 1, (2,): 0, (3,): 0}
-    raw = cluster_potential(0.8, eta, window, normalized=False)
-    A = raw.support()[0]
+    table = ClusterPotentialTable(0.8, window, eta)
+    A = table.support()[0]
     assert A.sites == ((0,), (1,), (2,))
-    assert raw.value(A, eta) == pytest.approx(
-        math.log(4 * math.cosh(0.8)), abs=1e-12
-    )
-    normed = cluster_potential(0.8, eta, window)
-    assert normed.value(A, eta) == pytest.approx(
-        math.log(math.cosh(0.8)), abs=1e-12
-    )
+    # log Z0 = log(4 cosh J) on the bond, less 2 log 2
+    assert table.value(A, eta) == pytest.approx(math.log(math.cosh(0.8)), abs=1e-12)
 
 
 def test_cluster_potential_ring_component():
@@ -219,7 +212,7 @@ def test_cluster_potential_ring_component():
         (2, 0), (2, 1), (2, 2),
     ]
     eta = {s: (1 if s in ring else 0) for s in window.sites()}
-    table = cluster_potential(0.6, eta, window)
+    table = ClusterPotentialTable(0.6, window, eta)
     sets = table.support()
     assert len(sets) == 1
     carrier = sets[0]
@@ -239,11 +232,12 @@ def test_cluster_potential_ring_component():
 def test_cluster_potential_two_components():
     window = Box.from_shape(5)
     eta = {(0,): 1, (1,): 0, (2,): 0, (3,): 1, (4,): 1}
-    table = cluster_potential(0.8, eta, window, normalized=False)
+    table = ClusterPotentialTable(0.8, window, eta)
     sets = sorted(A.sites for A in table.support())
     assert sets == [((0,), (1,)), ((2,), (3,), (4,))]
     total = sum(table.value(A, eta) for A in table.support())
-    assert total == pytest.approx(LOG2 + math.log(4 * math.cosh(0.8)), abs=1e-12)
+    # the lone site carries log 2 - log 2, the bond log(4 cosh J) - 2 log 2
+    assert total == pytest.approx(math.log(math.cosh(0.8)), abs=1e-12)
 
 
 def test_cluster_reconstruction_matches_direct():
@@ -335,11 +329,10 @@ def test_cluster_partial_sums_equal_the_materialized_table():
 def test_cluster_materialize_and_json():
     window = Box.from_shape(3)
     eta = {(0,): 1, (1,): 1, (2,): 0}
-    table = cluster_potential(0.8, eta, window)
+    table = ClusterPotentialTable(0.8, window, eta)
     flat = table.materialize()
     assert flat.meta["kind"] == "cluster"
     for A in table.support():
         assert flat.value(A) == pytest.approx(table.value(A, eta), abs=1e-13)
     blob = table.to_json()
-    assert blob["meta"]["J"] == 0.8
-    assert blob["meta"]["normalized"] is True
+    assert blob["meta"] == {"kind": "cluster", "J": 0.8}

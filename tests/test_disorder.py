@@ -10,7 +10,6 @@ from jointgibbs.disorder import (
     c_xy,
     cbar,
     decay_budget,
-    energy_energy_correlation,
     representative_pair,
     write_correlation_csv,
 )
@@ -268,43 +267,6 @@ def test_decay_budget_accepts_estimates():
     est = CorrelationEstimate(m=2, cbar=1e-3, stderr=1e-5, n_samples=100, pair=((0,), (2,)))
     out = decay_budget({2: est}, 1.0, d=1, mbar=0.5)
     assert out.terms == [(2, pytest.approx(math.exp(1.0) * 2 * 1e-3))]
-
-
-# ---------------------------------------------------------------------------
-# energy-energy correlations
-# ---------------------------------------------------------------------------
-
-
-def test_energy_energy_zero_without_coupling():
-    ctx = QKernelContext(make_rfim(J=0.0, h=0.4), Box.from_shape(6))
-    tilde = {s: 1 for s in ctx.eta_domain}
-    got = energy_energy_correlation(ctx, (1,), (1,), (4,), (1,), tilde)
-    assert got == pytest.approx(0.0, abs=1e-13)
-
-
-def test_energy_energy_rejects_overlapping_bonds():
-    ctx = QKernelContext(make_rfim(J=0.3, h=0.4), Box.from_shape(5))
-    tilde = {s: 1 for s in ctx.eta_domain}
-    with pytest.raises(ValueError):
-        energy_energy_correlation(ctx, (1,), (1,), (2,), (1,), tilde)
-
-
-def test_energy_energy_matches_brute():
-    J, h = 0.25, 0.3
-    box = Box.from_shape(6)
-    ctx = QKernelContext(make_rfim(J=J, h=h), box)
-    sites = box.sites()
-    rng = np.random.default_rng(7)
-    tilde = {s: int(rng.choice([-1, 1])) for s in sites}
-    energy = oracles.rfim_energy(J, h, sites, tilde)
-    four = oracles.brute_expectation(
-        sites, energy, lambda s: s[(1,)] * s[(2,)] * s[(4,)] * s[(5,)]
-    )
-    b1 = oracles.brute_expectation(sites, energy, lambda s: s[(1,)] * s[(2,)])
-    b2 = oracles.brute_expectation(sites, energy, lambda s: s[(4,)] * s[(5,)])
-    want = four - b1 * b2
-    got = energy_energy_correlation(ctx, (1,), (1,), (4,), (1,), tilde)
-    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_correlation_csv_layout():

@@ -5,9 +5,16 @@ is reported with its module and line; ``__init__.py`` is skipped because its
 imports are the package's public re-exports.  A private function, method or
 class (one leading underscore) that no module of the package reads, as a name
 or an attribute, is reported the same way: a helper orphaned by a deletion.
-A public one is reported when nothing in ``src/``, ``tests/`` or
-``perfbench/`` reads it (a re-export in ``__init__.py`` is not a read) and
-README does not name it.
+
+A public one is reported unless something that a user's run reaches reads it:
+the package itself (``src/``), the benchmark (``perfbench/``), the acceptance
+criteria (``tests/test_acceptance.py``), the brute-force oracles
+(``tests/oracles.py``), or a word of README.  A re-export in ``__init__.py``
+is not a read, and neither is a unit test's: code that only its own unit
+tests call is not part of the package.  ``EXEMPT`` names the few public
+definitions kept without a reader, each with its reason, and a companion
+test fails once an exempt name is deleted or gains a reader, so no exemption
+outlives its reason.
 """
 
 import ast
@@ -16,6 +23,20 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "jointgibbs"
+
+# Public definitions that no reader reads, kept on purpose: (name, reason).
+_ITEM_8 = "the regrouping block, which the exact decay measurement of ROADMAP item 8 reads"
+EXEMPT = (
+    ("interval", _ITEM_8),
+    ("shell", _ITEM_8),
+    ("validate", _ITEM_8),
+    ("regroup", _ITEM_8),
+    ("class_value_via_energy", _ITEM_8),
+    ("telescope_logq", _ITEM_8),
+    ("shell_cell_terms", _ITEM_8),
+    ("spiral", "the site order of " + _ITEM_8),
+    ("gibbs_probability", "the per-configuration reference test_quenched checks conditional against"),
+)
 
 
 def unused_imports(source: str) -> list:
@@ -132,12 +153,35 @@ def test_scan_flags_an_unread_public_definition():
     assert found == [("a.py", 4, "orphan"), ("a.py", 7, "exported"), ("a.py", 16, "width")]
 
 
-def test_repo_reads_every_public_definition():
+def repo_unread_public_definitions() -> list:
+    """The scan over the package, with the readers a user's run reaches."""
     package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    readers = {
-        str(path): path.read_text()
-        for folder in ("src", "tests", "perfbench")
-        for path in sorted((REPO / folder).rglob("*.py"))
+    paths = [
+        *sorted((REPO / "src").rglob("*.py")),
+        *sorted((REPO / "perfbench").rglob("*.py")),
+        REPO / "tests" / "test_acceptance.py",
+        REPO / "tests" / "oracles.py",
+    ]
+    readers = {str(path): path.read_text() for path in paths}
+    return unread_public_definitions(package, readers, (REPO / "README.md").read_text())
+
+
+def test_repo_reads_every_public_definition():
+    exempt = {name for name, _ in EXEMPT}
+    found = [
+        f"{module}:{line}: {name}"
+        for module, line, name in repo_unread_public_definitions()
+        if name not in exempt
+    ]
+    assert found == []
+
+
+def test_every_exemption_is_defined_and_unread():
+    defined = {
+        name for path in PACKAGE.glob("*.py") for _, name in definitions(path.read_text())
     }
-    found = unread_public_definitions(package, readers, (REPO / "README.md").read_text())
-    assert [f"{module}:{line}: {name}" for module, line, name in found] == []
+    unread = {name for _, _, name in repo_unread_public_definitions()}
+    assert [name for name, _ in EXEMPT if name not in defined] == [], "deleted: drop the exemption"
+    assert [name for name, _ in EXEMPT if name in defined and name not in unread] == [], (
+        "read now: drop the exemption"
+    )

@@ -1,14 +1,10 @@
-import pytest
 from hypothesis import given, strategies as st
 
-from jointgibbs.errors import CapExceededError
 from jointgibbs.lattice import (
     Box,
     SiteOrder,
     SiteSet,
-    boundary,
     connected_components,
-    enumerate_subsets,
     linf_dist,
     r_neighborhood,
 )
@@ -34,56 +30,6 @@ def test_two_overlapping_balls_2d():
              for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
     assert ball == SiteSet(dedup)
     assert len(ball) == 15
-
-
-def test_boundary_1d():
-    assert boundary(SiteSet([(0,)]), 1) == SiteSet([(-1,), (1,)])
-
-
-def test_boundary_of_full_window_is_ring():
-    box = Box.from_shape(3, 3)
-    ring = boundary(SiteSet.from_box(box), 1)
-    assert len(ring) == 16
-    assert ring.isdisjoint(SiteSet.from_box(box))
-
-
-def test_boundary_empty():
-    assert boundary(SiteSet(), 1) == SiteSet()
-
-
-@given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=6),
-       st.integers(0, 2))
-def test_boundary_decomposition(raw, r):
-    A = SiteSet(raw)
-    nb = r_neighborhood(A, r)
-    bd = boundary(A, r)
-    assert bd.isdisjoint(A)
-    assert (bd | A) == nb
-
-
-def test_enumerate_subsets_two_sites():
-    subs = list(enumerate_subsets(SiteSet([(0,), (1,)])))
-    assert subs == [
-        SiteSet(),
-        SiteSet([(0,)]),
-        SiteSet([(1,)]),
-        SiteSet([(0,), (1,)]),
-    ]
-
-
-def test_enumerate_subsets_count():
-    subs = list(enumerate_subsets(Box.from_shape(10)))
-    assert len(subs) == 1024
-    assert len({s.sites for s in subs}) == 1024
-
-
-def test_enumerate_subsets_empty_window():
-    assert list(enumerate_subsets(SiteSet())) == [SiteSet()]
-
-
-def test_enumerate_subsets_cap():
-    with pytest.raises(CapExceededError):
-        next(enumerate_subsets(Box.from_shape(30)))
 
 
 def test_components_1d():
@@ -129,13 +75,6 @@ def test_lexicographic_order_min():
     assert order.min([(2, 0), (0, 2), (1, 1)]) == (0, 2)
 
 
-@given(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1))
-def test_mask_roundtrip(raw):
-    window = Box.from_shape(4, 4)
-    A = SiteSet(raw)
-    assert SiteSet.from_mask(window, A.mask(window)) == A
-
-
 def test_box_basics():
     box = Box.from_shape(2, 3)
     assert box.dim == 2
@@ -143,7 +82,6 @@ def test_box_basics():
     assert (0, 2) in box and (2, 0) not in box
     sites = box.sites()
     assert sites == sorted(sites)
-    assert [box.index(s) for s in sites] == list(range(6))
     assert box.expand(1).shape == (4, 5)
 
 

@@ -1,14 +1,9 @@
-import math
-
 import pytest
-from hypothesis import given, strategies as st
 
 from jointgibbs.errors import ConfigError
 from jointgibbs.lattice import SiteSet
 from jointgibbs.model import (
     BoundaryCondition,
-    annealed_potential,
-    delta_H,
     load_model,
     make_dilute,
     make_random_bond,
@@ -78,81 +73,6 @@ def test_dilute_p_range():
         make_dilute(0.5, 1.5)
 
 
-def test_annealed_singleton_uniform_nu():
-    spec = make_rfim(0.4, 0.7)
-    ann = annealed_potential(spec)
-    # uniform weights are stored as 1.0 each, so log nu = 0 here; renormalize
-    # to genuine probabilities to hit the log 2 form
-    spec_prob = make_rfim(0.4, 0.7, nu={-1: 0.5, 1: 0.5})
-    ann_prob = annealed_potential(spec_prob)
-    sigma = {(0,): 1}
-    eta = {(0,): 1}
-    assert ann_prob.value(SiteSet([(0,)]), sigma, eta) == pytest.approx(
-        -0.7 + math.log(2.0)
-    )
-    # pair sets are untouched
-    sigma2 = {(0,): 1, (1,): 1}
-    eta2 = {(0,): 1, (1,): 1}
-    assert ann.value(SiteSet([(0,), (1,)]), sigma2, eta2) == pytest.approx(-0.4)
-
-
-def test_annealed_free_model_uniform_k():
-    spec = make_rfim(0.0, 0.0, disorder_values=(0, 1, 2), nu={0: 1 / 3, 1: 1 / 3, 2: 1 / 3})
-    ann = annealed_potential(spec)
-    assert ann.value(SiteSet([(0,)]), {(0,): 1}, {(0,): 2}) == pytest.approx(math.log(3.0))
-
-
-def test_delta_h_equal_configs_vanish():
-    spec = make_rfim(0.3, 0.5)
-    sigma = {(0,): 1, (1,): -1, (-1,): 1}
-    eta = {(0,): 1}
-    assert delta_H(spec, [(0,)], sigma, eta, eta, {(1,): -1, (-1,): 1}) == 0.0
-
-
-def test_delta_h_rfim_single_site():
-    spec = make_rfim(0.3, 0.5)
-    sigma = {(0,): -1, (1,): 1, (-1,): 1}
-    d = delta_H(spec, [(0,)], sigma, {(0,): 1}, {(0,): -1}, {(1,): 1, (-1,): 1})
-    assert d == pytest.approx(-0.5 * (1 - (-1)) * (-1))
-
-
-def test_delta_h_dilute_single_site():
-    J = 0.8
-    spec = make_dilute(J, 0.5)
-    sigma = {(0,): 1, (1,): -1, (-1,): 1}
-    bdry = {(1,): 1, (-1,): 0}
-    d = delta_H(spec, [(0,)], sigma, {(0,): 1}, {(0,): 0}, bdry)
-    nn_sum = sum(bdry[y] * sigma[y] for y in [(-1,), (1,)])
-    assert d == pytest.approx(-J * (1 - 0) * sigma[(0,)] * nn_sum)
-
-
-@given(
-    st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
-    st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3),
-)
-def test_delta_h_antisymmetry(e1, e2, eb, spins):
-    spec = make_dilute(0.6, 0.4)
-    sites = [(-1,), (0,), (1,)]
-    sigma = dict(zip(sites, spins))
-    bdry = {(-1,): eb, (1,): eb}
-    fwd = delta_H(spec, [(0,)], sigma, {(0,): e1}, {(0,): e2}, bdry)
-    bwd = delta_H(spec, [(0,)], sigma, {(0,): e2}, {(0,): e1}, bdry)
-    assert fwd == pytest.approx(-bwd, abs=1e-14)
-
-
-def test_delta_h_ignores_far_spins():
-    spec = make_rfim(0.3, 0.5)
-    near = {(-1,): 1, (0,): 1, (1,): -1}
-    far_a = dict(near)
-    far_a[(5,)] = 1
-    far_b = dict(near)
-    far_b[(5,)] = -1
-    args = ([(0,)], {(0,): 1}, {(0,): -1}, {(-1,): 1, (1,): 1})
-    assert delta_H(spec, args[0], far_a, *args[1:]) == delta_H(
-        spec, args[0], far_b, *args[1:]
-    )
-
-
 def test_phi_zero_beyond_range():
     spec = make_rfim(0.3, 0.5)
     sigma = {(0,): 1, (3,): 1}
@@ -173,9 +93,6 @@ def test_interaction_sets_cover_neighbours():
 def test_boundary_condition_lookup():
     bc = BoundaryCondition.fixed(fill=1)
     assert bc.spin_at((7, 7)) == 1
-    bc2 = bc.with_spin((0, 0), -1)
-    assert bc2.spin_at((0, 0)) == -1
-    assert bc2.spin_at((7, 7)) == 1
     assert BoundaryCondition.free().is_free
 
 

@@ -10,7 +10,7 @@ from jointgibbs.errors import CapExceededError, ConfigError
 from jointgibbs.lattice import Box, SiteSet
 from jointgibbs.model import (
     BoundaryCondition,
-    make_custom,
+    ModelSpec,
     make_dilute,
     make_random_bond,
     make_rfim,
@@ -201,10 +201,10 @@ def test_every_miss_is_swept_inside_log_partition_at_once_per_code(monkeypatch, 
 
 def _chain(term_at):
     """A custom two-state chain model whose terms ``term_at(A, sig, eta)`` gives."""
-    return make_custom(
+    return ModelSpec(
         name="chain", spin_values=(-1, 1), disorder_values=(-1, 1),
-        nu={-1: 1.0, 1: 1.0}, range=1, term=term_at,
-        shapes=lambda x: [SiteSet([x]), SiteSet([x, (x[0] + 1,)]), SiteSet([(x[0] - 1,), x])],
+        nu={-1: 1.0, 1: 1.0}, range=1, generic_term=term_at,
+        generic_shapes=lambda x: [SiteSet([x]), SiteSet([x, (x[0] + 1,)]), SiteSet([(x[0] - 1,), x])],
     )
 
 
@@ -487,14 +487,14 @@ def test_pure_disorder_terms_are_a_gauge():
                 out.append(SiteSet([x, y]))
         return out
 
-    gauged = make_custom(
+    gauged = ModelSpec(
         name="rfim-gauged",
         spin_values=(-1, 1),
         disorder_values=(-1, 1),
         nu={-1: 1.0, 1: 1.0},
         range=1,
-        term=term,
-        shapes=shapes,
+        generic_term=term,
+        generic_shapes=shapes,
     )
     box = Box.from_shape(3)
     sites = box.sites()
@@ -657,10 +657,10 @@ def test_term_memo_gives_the_fresh_ensemble_bits(spec, bc):
         sub = [(0, 0), (1, 0)]
         for fill in spec.spin_values:
             sigma_out = {s: fill for s in box.sites()}
-            got = ctx.ensemble(eta).conditional(sub, sigma_out).log_partition()
+            got = ctx._ensemble_at(ctx.code(eta)).conditional(sub, sigma_out).log_partition()
             assert got == fresh.conditional(sub, sigma_out).log_partition()
     # the stacks, and the tables a compile picks from them, are read-only
-    picked = ctx.ensemble(eta).compile().term_tables
+    picked = ctx._ensemble_at(ctx.code(eta)).compile().term_tables
     for table in [stack[0] for _, stack in terms] + picked:
         with pytest.raises(ValueError):
             table[0] = 0.0
@@ -691,10 +691,10 @@ def test_compile_by_code_gives_the_fresh_ensemble_bits(spec, shape, bc):
         assert ctx.log_partition_at(eta) == fresh
     assert ctx.counts["swept"] == len(set(codes))
     # the ensemble at a code reads its disorder back as the code's map
-    assert ctx.ensemble(ctx.eta_of(codes[0])).eta == ctx.eta_of(codes[0])
+    assert ctx._ensemble_at(codes[0]).eta == ctx.eta_of(codes[0])
     missing = ctx.eta_of(codes[0])
     del missing[ctx.eta_domain[-1]]
-    for read in (ctx.log_partition_at, ctx.ensemble):
+    for read in (ctx.log_partition_at, ctx.code):
         with pytest.raises(ConfigError, match="not assigned"):
             read(missing)
     with pytest.raises(ValueError, match="outside"):

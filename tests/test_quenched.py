@@ -9,7 +9,7 @@ from jointgibbs.errors import ConfigError, UnsupportedObservableError
 from jointgibbs.lattice import Box, SiteSet
 from jointgibbs.model import (
     BoundaryCondition,
-    make_custom,
+    ModelSpec,
     make_dilute,
     make_random_bond,
     make_rfim,
@@ -179,14 +179,14 @@ def test_conditional_region_must_be_inside():
 
 
 def test_non_numeric_spins_reject_magnetization():
-    spec = make_custom(
+    spec = ModelSpec(
         name="potts-ish",
         spin_values=("a", "b"),
         disorder_values=(0, 1),
         nu={0: 0.5, 1: 0.5},
         range=1,
-        term=lambda A, sigma, eta: 0.0,
-        shapes=lambda x: [SiteSet([x])],
+        generic_term=lambda A, sigma, eta: 0.0,
+        generic_shapes=lambda x: [SiteSet([x])],
     )
     ens = QuenchedEnsemble(spec, Box.from_shape(2), {(0,): 0, (1,): 0})
     with pytest.raises(UnsupportedObservableError):

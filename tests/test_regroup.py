@@ -319,10 +319,10 @@ def test_epsilon_diagnostic_decays_along_the_chain():
 
 def test_epsilon_diagnostic_seed_reproducible():
     ctx = QKernelContext(make_rfim(J=0.3, h=0.5), Box.from_shape(4))
-    a = epsilon_diagnostic(ctx, (1,), (1, 2), samples=80, seed=11, eta_x_value=1)
-    b = epsilon_diagnostic(ctx, (1,), (1, 2), samples=80, seed=11, eta_x_value=1)
+    a = epsilon_diagnostic(ctx, (1,), (1, 2), samples=80, seed=11)
+    b = epsilon_diagnostic(ctx, (1,), (1, 2), samples=80, seed=11)
     assert a.epsilon == b.epsilon
-    assert a.meta["eta_x_value"] == 1
+    assert a.meta["seed"] == 11
 
 
 def test_epsilon_diagnostic_sampled_inner_tracks_exact(monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 from jointgibbs.stats import (
     EstimatedValue,
     batch_means,
-    batchwise,
     slope,
     slope_with_ci,
     t_quantile_95,
@@ -38,12 +37,6 @@ def test_batch_means_constant_stream():
     assert est.value == 3.25
     assert est.stderr == 0.0
     assert est.n_batches == 20
-
-
-def test_batchwise_matches_manual_split():
-    got = batchwise(np.arange(10.0), n_batches=3)
-    want = [np.mean(chunk) for chunk in np.array_split(np.arange(10.0), 3)]
-    assert np.allclose(got, want)
 
 
 def test_slope_exact_line():

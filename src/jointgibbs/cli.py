@@ -148,34 +148,30 @@ def build_model(cfg: dict):
 
 
 def build_bc(cfg: dict) -> BoundaryCondition:
-    bc = cfg.get("bc", "free")
-    if bc == "free":
+    bc_cfg = cfg.get("bc", "free")
+    if bc_cfg == "free":
         return BoundaryCondition.free()
-    if isinstance(bc, dict) and bc.get("kind") == "fixed":
-        if "fill" in bc:
-            return BoundaryCondition.fixed(fill=bc["fill"])
-        if "sigma" in bc:
-            sigma = {tuple(json.loads(k) if isinstance(k, str) else k): v
-                     for k, v in bc["sigma"].items()}
-            return BoundaryCondition.fixed(sigma)
-        raise ConfigError("fixed bc needs 'fill' or 'sigma'")
-    raise ConfigError(f"bad bc {bc!r}")
+    if isinstance(bc_cfg, dict) and bc_cfg.get("kind") == "fixed":
+        if "fill" not in bc_cfg:
+            raise ConfigError("fixed bc needs a 'fill' value")
+        return BoundaryCondition.fixed(fill=bc_cfg["fill"])
+    raise ConfigError(f"bad bc {bc_cfg!r}")
 
 
 def build_alpha(cfg: dict, spec) -> NormalizingMeasure:
-    a = cfg.get("alpha", {"kind": "product"})
-    if isinstance(a, str):
-        a = {"kind": a}
-    if a.get("kind") == "product":
+    alpha_cfg = cfg.get("alpha", {"kind": "product"})
+    if isinstance(alpha_cfg, str):
+        alpha_cfg = {"kind": alpha_cfg}
+    if alpha_cfg.get("kind") == "product":
         return NormalizingMeasure.product(spec.nu)
-    if a.get("kind") in ("vacuum", "point"):
-        if "fill" not in a:
+    if alpha_cfg.get("kind") in ("vacuum", "point"):
+        if "fill" not in alpha_cfg:
             raise ConfigError("vacuum alpha needs a 'fill' value")
-        fill = a["fill"]
+        fill = alpha_cfg["fill"]
         if isinstance(fill, list):
             fill = tuple(fill)
         return NormalizingMeasure.point_mass(fill=fill)
-    raise ConfigError(f"bad alpha {a!r}")
+    raise ConfigError(f"bad alpha {alpha_cfg!r}")
 
 
 def require_seed(cfg: dict) -> int:

@@ -34,6 +34,12 @@ CBAR_NOISE_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 
 
+# the key and rows of the last block drawn: a command that averages several
+# quantities over one stream draws its rows once, and one slot bounds what
+# the process keeps
+_last_draw: list = [None, None]
+
+
 class DisorderSampler:
     """Sitewise-independent disorder fields, reproducible per (seed, index)."""
 
@@ -55,16 +61,21 @@ class DisorderSampler:
 
         Row ``i`` is the draw of sample index ``start + i`` (one site per
         column, in ``sites`` order), so any block of the stream can be
-        regenerated on its own.
+        regenerated on its own.  The array is read-only: a repeated request
+        returns the last block drawn.
         """
         if start < 0:
             raise ConfigError("sample index must be nonnegative")
-        out = np.empty((count, len(self.sites)), dtype=np.int64)
-        for i in range(count):
-            seq = np.random.SeedSequence([self.seed, int(start) + i])
-            rng = np.random.default_rng(seq)
-            out[i] = rng.choice(len(self.values), size=len(self.sites), p=self.probs)
-        return out
+        key = (self.seed, self.probs.tobytes(), len(self.sites), int(start), int(count))
+        if _last_draw[0] != key:
+            out = np.empty((count, len(self.sites)), dtype=np.int64)
+            for i in range(count):
+                seq = np.random.SeedSequence([self.seed, int(start) + i])
+                rng = np.random.default_rng(seq)
+                out[i] = rng.choice(len(self.values), size=len(self.sites), p=self.probs)
+            out.flags.writeable = False
+            _last_draw[:] = [key, out]
+        return _last_draw[1]
 
     def sample(self, index: int) -> dict:
         picks = self.digits(index, 1)[0]

@@ -113,20 +113,6 @@ class CompiledSystem:
         self.term_sites.append(sites)
         self.term_tables.append(table)
 
-    @property
-    def n_configs(self) -> int:
-        return self.q**self.n_sites
-
-    def energy(self, digits: Sequence[int]) -> float:
-        """Energy of one configuration given as per-site digit values."""
-        e = self.const
-        for sites, tab in zip(self.term_sites, self.term_tables):
-            code = 0
-            for j, s in enumerate(reversed(sites)):
-                code = code * self.q + digits[s]
-            e += tab[code]
-        return e
-
     def extended(self, other: "CompiledSystem") -> "CompiledSystem":
         """This system plus the terms of ``other`` (same site indexing)."""
         if other.n_sites != self.n_sites or other.q != self.q:

@@ -247,15 +247,9 @@ class SiteOrder:
 
         return cls("spiral", key, center=c)
 
-    def key(self, site: Site):
-        return self._key(as_site(site))
-
     def sort(self, sites: Iterable) -> list:
         return sorted((as_site(s) for s in sites), key=self._key)
 
     def rank_map(self, sites: Iterable) -> dict:
         """Map each site to its 1-based rank under this order."""
         return {s: i + 1 for i, s in enumerate(self.sort(sites))}
-
-    def min(self, sites: Iterable) -> Site:
-        return min((as_site(s) for s in sites), key=self._key)

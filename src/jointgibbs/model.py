@@ -148,33 +148,28 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Spin boundary condition: free, or frozen spins on a collar.
+    """Spin boundary condition: free, or every collar spin frozen at one value.
 
-    ``fixed`` conditions resolve a spin for any collar site, either from an
-    explicit map or a uniform fill value.  An optional disorder map pins
-    collar disorder for quenched ensembles (contexts that integrate collar
-    disorder supply it per configuration instead).
+    Collar disorder is not part of the boundary condition: contexts that
+    integrate it supply it per configuration.
     """
 
     kind: str = "free"
-    sigma: Mapping | None = None
     spin_fill: object = None
-    eta: Mapping | None = None
 
     def __post_init__(self):
         if self.kind not in ("free", "fixed"):
             raise ConfigError(f"unknown boundary kind {self.kind!r}")
+        if self.kind == "fixed" and self.spin_fill is None:
+            raise ConfigError("fixed boundary needs a spin fill value")
 
     @classmethod
     def free(cls) -> "BoundaryCondition":
         return cls("free")
 
     @classmethod
-    def fixed(cls, sigma=None, *, fill=None, eta=None) -> "BoundaryCondition":
-        if sigma is None and fill is None:
-            raise ConfigError("fixed boundary needs spins (map or fill value)")
-        sig = dict((as_site(k), v) for k, v in sigma.items()) if sigma else None
-        return cls("fixed", sig, fill, dict(eta) if eta else None)
+    def fixed(cls, *, fill) -> "BoundaryCondition":
+        return cls("fixed", fill)
 
     @property
     def is_free(self) -> bool:
@@ -183,11 +178,7 @@ class BoundaryCondition:
     def spin_at(self, site: Site):
         if self.kind != "fixed":
             raise ConfigError("free boundary has no spins")
-        if self.sigma is not None and site in self.sigma:
-            return self.sigma[site]
-        if self.spin_fill is not None:
-            return self.spin_fill
-        raise ConfigError(f"boundary spin missing at {site}")
+        return self.spin_fill
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +279,7 @@ _BUILTINS = {"rfim", "random_bond", "dilute"}
 
 
 def load_model(cfg: Mapping) -> ModelSpec:
-    """Model from a JSON-style mapping: ``{"model": name, ...params}``.
+    """Model from a JSON-style mapping: ``{"model": name, ...fields}``.
 
     RFIM example: ``{"model": "rfim", "J": 1.0, "h": 0.5,
     "nu": {"-1": 0.5, "1": 0.5}}`` (the disorder law is optional and its keys
@@ -299,10 +290,6 @@ def load_model(cfg: Mapping) -> ModelSpec:
     if "model" not in cfg:
         raise ConfigError("config is missing the 'model' key")
     kind = cfg["model"]
-    params = dict(cfg.get("params") or {})
-    for k, v in cfg.items():
-        if k not in ("model", "params", "nu"):
-            params.setdefault(k, v)
     if kind == "rfim":
         nu_raw = cfg.get("nu")
         nu = None
@@ -311,18 +298,16 @@ def load_model(cfg: Mapping) -> ModelSpec:
             nu = {_parse_number(k): float(w) for k, w in nu_raw.items()}
             values = tuple(sorted(nu))
         try:
-            return make_rfim(params["J"], params["h"], values, nu)
+            return make_rfim(cfg["J"], cfg["h"], values, nu)
         except KeyError as exc:
             raise ConfigError(f"rfim config missing parameter {exc}") from exc
     if kind == "random_bond":
-        if "couplings" not in params:
+        if "couplings" not in cfg:
             raise ConfigError("random_bond config needs 'couplings'")
-        return make_random_bond(
-            params["couplings"], params.get("weights"), int(params.get("d", 1))
-        )
+        return make_random_bond(cfg["couplings"], cfg.get("weights"), int(cfg.get("d", 1)))
     if kind == "dilute":
         try:
-            return make_dilute(params["J"], params["p"])
+            return make_dilute(cfg["J"], cfg["p"])
         except KeyError as exc:
             raise ConfigError(f"dilute config missing parameter {exc}") from exc
     raise ConfigError(f"unknown model {kind!r}; built-ins: {sorted(_BUILTINS)}")

@@ -941,34 +941,22 @@ def pair_flip_bracket(
     eta_pair: Mapping,
     eta_hat_pair: Mapping,
     env: Mapping,
-    *,
-    route: str = "logz",
 ) -> float:
     """Second difference of the log-ratio in two single-site flips.
 
-    ``route='logz'`` forms it from four partition functions;
-    ``route='expectation'`` composes three expectation-side ratios (the
-    joint flip minus the two marginals).  The two routes agree to round-off
-    and the value is the elementary term of shell-cell telescoping.
+    Formed from four partition functions (the joint flip less the two
+    single flips); the value is the elementary term of shell-cell
+    telescoping.
     """
     x, y = as_site(x), as_site(y)
     pair = SiteSet([x, y])
     e_full = {x: eta_pair[x], y: eta_pair[y]}
     e_hat = {x: eta_hat_pair[x], y: eta_hat_pair[y]}
-    if route == "logz":
-        e_xy = dict(e_hat)
-        e_xy[x] = eta_pair[x]
-        e_yx = dict(e_hat)
-        e_yx[y] = eta_pair[y]
-        return ctx.log_q(pair, e_full, e_hat, env) - ctx.log_q(
-            pair, e_xy, e_hat, env
-        ) - ctx.log_q(pair, e_yx, e_hat, env)
-    if route == "expectation":
-        lq_xy = ctx.log_q_via_expectation(pair, e_full, e_hat, env)
-        lq_x = ctx.log_q_via_expectation(pair, {**e_hat, x: eta_pair[x]}, e_hat, env)
-        lq_y = ctx.log_q_via_expectation(pair, {**e_hat, y: eta_pair[y]}, e_hat, env)
-        return lq_xy - lq_x - lq_y
-    raise ConfigError(f"unknown route {route!r}")
+    return (
+        ctx.log_q(pair, e_full, e_hat, env)
+        - ctx.log_q(pair, {**e_hat, x: eta_pair[x]}, e_hat, env)
+        - ctx.log_q(pair, {**e_hat, y: eta_pair[y]}, e_hat, env)
+    )
 
 
 def shell_cell_terms(
@@ -1034,17 +1022,6 @@ class ConvergenceDiagnostic:
     stderr: tuple
     n_samples: int
     meta: dict = field(default_factory=dict)
-
-    def rows(self) -> list:
-        return [
-            {
-                "r": r,
-                "epsilon": e,
-                "stderr": s,
-                "n_samples": self.n_samples,
-            }
-            for r, e, s in zip(self.radii, self.epsilon, self.stderr)
-        ]
 
 
 # inner averages enumerate the free disorder patterns up to this many bits

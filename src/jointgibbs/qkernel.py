@@ -326,7 +326,9 @@ class QKernelContext:
         """
         rng = np.random.default_rng(seed)
         values = self.spec.disorder_values
+        k = len(values)
         box = self.box
+        stride = {s: k**i for i, s in enumerate(self.eta_domain)}
 
         def rand_subbox(outer_lo, outer_hi):
             lo, hi = [], []
@@ -337,9 +339,19 @@ class QKernelContext:
                 hi.append(max(u, v))
             return Box(tuple(lo), tuple(hi))
 
-        def rand_eta(sites):
-            picks = rng.integers(0, len(values), size=len(sites))
-            return {s: values[int(k)] for s, k in zip(sites, picks)}
+        def rand_digits(n):
+            return rng.integers(0, k, size=n).tolist()
+
+        def code_of(digits, strides):
+            return sum(d * p for d, p in zip(digits, strides))
+
+        def lq(c1, c2):
+            return self._logz_at(c1) - self._logz_at(c2)
+
+        def witness_at(window, *digits, **extra):
+            out = {"window": [list(s) for s in window], **extra}
+            out.update({f"eta{i}": [values[d] for d in ds] for i, ds in enumerate(digits, 1)})
+            return out
 
         worst = {
             "antisymmetry": (0.0, None),
@@ -351,48 +363,29 @@ class QKernelContext:
             lam_sites = tuple(lam.sites())
             sub = rand_subbox(lam.lower, lam.upper)
             sub_sites = tuple(sub.sites())
-            rest_sites = [s for s in self.eta_domain if s not in lam_sites]
-            eta_rest = rand_eta(rest_sites)
-            e1 = rand_eta(lam_sites)
-            e2 = rand_eta(lam_sites)
-            e3 = rand_eta(lam_sites)
-
-            forward = self.log_q(lam_sites, e1, e2, eta_rest)
-            backward = self.log_q(lam_sites, e2, e1, eta_rest)
-            self._score(worst, "antisymmetry", abs(forward + backward), {
-                "window": [list(s) for s in lam_sites],
-                "eta1": [e1[s] for s in lam_sites],
-                "eta2": [e2[s] for s in lam_sites],
-            })
-
+            rest = [stride[s] for s in self.eta_domain if s not in lam_sites]
+            rest_code = code_of(rand_digits(len(rest)), rest)
+            d1, d2, d3 = (rand_digits(len(lam_sites)) for _ in range(3))
             # flip only inside the sub-window; the ratio must restrict
-            e2r = dict(e1)
-            for s in sub_sites:
-                e2r[s] = e2[s]
-            big = self.log_q(lam_sites, e1, e2r, eta_rest)
-            shared = dict(eta_rest)
-            for s in lam_sites:
-                if s not in sub_sites:
-                    shared[s] = e1[s]
-            small = self.log_q(sub_sites, e1, e2, shared)
-            self._score(worst, "restriction", abs(big - small), {
-                "window": [list(s) for s in lam_sites],
-                "sub_window": [list(s) for s in sub_sites],
-                "eta1": [e1[s] for s in lam_sites],
-                "eta2": [e2r[s] for s in lam_sites],
-            })
+            in_sub = set(sub_sites)
+            d2r = [b if s in in_sub else a for s, a, b in zip(lam_sites, d1, d2)]
+            # a code is the rest code plus the window digits times the strides
+            lam_stride = [stride.get(s, 0) for s in lam_sites]
+            c1, c2, c3, c2r = (rest_code + code_of(d, lam_stride) for d in (d1, d2, d3, d2r))
 
-            chain = (
-                self.log_q(lam_sites, e1, e2, eta_rest)
-                + self.log_q(lam_sites, e2, e3, eta_rest)
-                - self.log_q(lam_sites, e1, e3, eta_rest)
-            )
-            self._score(worst, "chain_rule", abs(chain), {
-                "window": [list(s) for s in lam_sites],
-                "eta1": [e1[s] for s in lam_sites],
-                "eta2": [e2[s] for s in lam_sites],
-                "eta3": [e3[s] for s in lam_sites],
-            })
+            self._score(worst, "antisymmetry", abs(lq(c1, c2) + lq(c2, c1)),
+                        witness_at(lam_sites, d1, d2))
+
+            # the sub-window side reads through log_q: a patch on the
+            # sub-window over the e1 assignment elsewhere
+            e1, e2 = (dict(zip(lam_sites, (values[d] for d in ds))) for ds in (d1, d2))
+            big = lq(c1, c2r)
+            small = self.log_q(sub_sites, e1, e2, self.eta_of(c1))
+            self._score(worst, "restriction", abs(big - small),
+                        witness_at(lam_sites, d1, d2r, sub_window=[list(s) for s in sub_sites]))
+
+            chain = lq(c1, c2) + lq(c2, c3) - lq(c1, c3)
+            self._score(worst, "chain_rule", abs(chain), witness_at(lam_sites, d1, d2, d3))
 
         properties = []
         for name, (value, witness) in worst.items():

@@ -4,14 +4,13 @@ A :class:`QuenchedEnsemble` holds a model, a finite region of free spins, a
 disorder assignment, and a spin boundary condition.  Free boundary drops
 every interaction set that exits the region; a fixed boundary keeps sets
 reaching up to range ``r`` outside and reads frozen spins from the boundary
-condition.  Probabilities are exp(-H)/Z with all normalizations computed in
-log space by the enumeration or transfer-matrix backends.
+condition.  The Gibbs weight is exp(-H)/Z, with every normalization computed
+in log space by the enumeration or transfer-matrix backends.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from itertools import product
 from numbers import Real
 from typing import Callable, Iterable, Mapping, Sequence
@@ -34,8 +33,7 @@ class QuenchedEnsemble:
         The free spins.
     eta : mapping site -> disorder value
         Must cover every site read by a kept interaction term (for fixed
-        boundaries this includes the range-r collar unless the boundary
-        condition supplies collar disorder itself).
+        boundaries this includes the range-r collar).
     bc : BoundaryCondition
     """
 
@@ -45,8 +43,6 @@ class QuenchedEnsemble:
         region,
         eta: Mapping,
         bc: BoundaryCondition | None = None,
-        _terms: list | None = None,
-        _frozen: dict | None = None,
     ):
         self.spec = spec
         self.bc = bc if bc is not None else BoundaryCondition.free()
@@ -61,28 +57,19 @@ class QuenchedEnsemble:
         self.index = {s: i for i, s in enumerate(self.free_sites)}
 
         free_set = SiteSet(self.free_sites)
-        if _terms is not None:
-            self.term_sets = list(_terms)
+        all_sets = spec.interaction_sets(free_set)
+        if self.bc.is_free:
+            self.term_sets = [A for A in all_sets if A.issubset(free_set)]
         else:
-            all_sets = spec.interaction_sets(free_set)
-            if self.bc.is_free:
-                self.term_sets = [A for A in all_sets if A.issubset(free_set)]
-            else:
-                self.term_sets = all_sets
+            self.term_sets = all_sets
 
-        if _frozen is not None:
-            self.frozen_sigma = dict(_frozen)
-        else:
-            self.frozen_sigma = {}
-            for A in self.term_sets:
-                for s in A:
-                    if s not in self.index and s not in self.frozen_sigma:
-                        self.frozen_sigma[s] = self.bc.spin_at(s)
+        self.frozen_sigma = {}
+        for A in self.term_sets:
+            for s in A:
+                if s not in self.index and s not in self.frozen_sigma:
+                    self.frozen_sigma[s] = self.bc.spin_at(s)
 
         self.eta = {as_site(k): v for k, v in eta.items()}
-        if self.bc.eta:
-            for k, v in self.bc.eta.items():
-                self.eta.setdefault(as_site(k), v)
         missing = sorted(
             {s for A in self.term_sets for s in A if s not in self.eta}
         )
@@ -186,7 +173,7 @@ class QuenchedEnsemble:
             ext.add_term(idx, table)
         return base.extended(ext)
 
-    # -- normalization and probabilities --------------------------------------
+    # -- normalization -----------------------------------------------------------
 
     def log_partition(self) -> float:
         if self._logz is None:
@@ -196,26 +183,6 @@ class QuenchedEnsemble:
     def log_expectation_exp_neg(self, extra_terms: Sequence[tuple]) -> float:
         """log of the Gibbs expectation of exp(-sum of the extra terms)."""
         return engine.log_partition(self._extended(extra_terms)) - self.log_partition()
-
-    def energy(self, sigma: Mapping) -> float:
-        return self.compile().energy(self._digits(sigma))
-
-    def _digits(self, sigma: Mapping) -> list:
-        values = self.spec.spin_values
-        digits = []
-        for s in self.free_sites:
-            if s not in sigma:
-                raise ConfigError(f"spin missing at {s}")
-            v = sigma[s]
-            try:
-                digits.append(values.index(v))
-            except ValueError:
-                raise ConfigError(f"spin value {v!r} at {s} not in alphabet") from None
-        return digits
-
-    def gibbs_probability(self, sigma: Mapping) -> float:
-        """Probability of one full spin configuration on the region."""
-        return math.exp(-self.energy(sigma) - self.log_partition())
 
     # -- observables -----------------------------------------------------------
 
@@ -244,29 +211,3 @@ class QuenchedEnsemble:
             raise UnsupportedObservableError(
                 f"spin alphabet {self.spec.spin_values!r} is not numeric"
             )
-
-    # -- conditioning (consistency of the Gibbs family) -----------------------
-
-    def conditional(self, sub, sigma_outside: Mapping) -> "QuenchedEnsemble":
-        """The ensemble on ``sub`` given spins elsewhere in the region.
-
-        Keeps exactly the terms of this ensemble that meet ``sub``, freezing
-        their spins outside ``sub`` from ``sigma_outside`` (or this
-        ensemble's own frozen boundary).
-        """
-        sub_set = SiteSet(sub)
-        if not sub_set.issubset(SiteSet(self.free_sites)):
-            raise ConfigError("conditioning region must lie inside the ensemble")
-        terms = [A for A in self.term_sets if not sub_set.isdisjoint(A)]
-        frozen = dict(self.frozen_sigma)
-        for s in self.free_sites:
-            if s not in sub_set and s in sigma_outside:
-                frozen[s] = sigma_outside[s]
-        return QuenchedEnsemble(
-            self.spec,
-            sub_set,
-            self.eta,
-            self.bc,
-            _terms=terms,
-            _frozen=frozen,
-        )

@@ -118,6 +118,21 @@ def brute_expectation(free_sites, energy, obs, spin_values=(-1, 1)):
     return sum(w * o for w, o in zip(weights, values)) / sum(weights)
 
 
+def compiled_energy(system, digits):
+    """Energy of one configuration of a compiled system, given per-site digits.
+
+    Each term's table is read at the local code of its sites' digits (first
+    site least significant) and added to the constant, one term at a time.
+    """
+    e = system.const
+    for sites, tab in zip(system.term_sites, system.term_tables):
+        code = 0
+        for s in reversed(sites):
+            code = code * system.q + digits[s]
+        e += tab[code]
+    return e
+
+
 def brute_joint_table(sites, spin_values, disorder_values, nu, energy_of):
     """The exact joint law: P(sigma, eta) ~ nu(eta) exp(-H[eta](sigma)) / Z[eta].
 

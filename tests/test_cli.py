@@ -8,13 +8,14 @@ import pytest
 from jointgibbs.cli import main, parse_box, prune_table, table_summary
 from jointgibbs.disorder import CBAR_NOISE_FLOOR
 from jointgibbs.errors import ConfigError
-from jointgibbs.lattice import Box, SiteSet
-from jointgibbs.model import make_rfim
+from jointgibbs.lattice import Box, SiteSet, r_neighborhood
+from jointgibbs.model import load_model, make_rfim
 from jointgibbs.potentials import (
     ConstantEntry,
     NormalizingMeasure,
     PotentialTable,
     dilute_vacuum_coeff,
+    partial_sum_expected,
     relative_energy_table,
 )
 from jointgibbs.qkernel import QKernelContext
@@ -254,6 +255,28 @@ def test_potential_writes_table_and_summary(tmp_path, capsys):
     assert report_from(capsys)["summary"]["entries"] == len(table)
 
 
+# random-bond disorder values are coupling tuples, written as JSON lists
+LADDER = {"model": "random_bond", "couplings": [[0.1, 0.9], [0.5]], "d": 2}
+
+
+def test_potential_with_a_list_valued_vacuum_fill(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": LADDER, "box": "2x2x2", "alpha": {"kind": "vacuum", "fill": [0.9, 0.5]},
+    })
+    assert main(["potential", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "table.json") as fp:
+        table = PotentialTable.load(fp)
+    ctx = QKernelContext(load_model(LADDER), Box.from_shape(2, 2))
+    want = relative_energy_table(ctx, NormalizingMeasure.point_mass(fill=(0.9, 0.5)))
+    assert table.alpha == want.alpha
+    assert len(table) > 0
+    for A, entry in table.items():
+        assert np.array_equal(entry.values, want.entry(A.sites).values), A.sites
+        # a vacuum potential vanishes wherever its set carries the vacuum
+        assert table.value(A, dict.fromkeys(A.sites, (0.9, 0.5))) == 0.0
+
+
 def test_potential_refuses_a_large_box_before_reading_log_z(capsys):
     assert main(["potential", "--box", "1x24"]) == 2
     assert "table refused" in capsys.readouterr().err
@@ -330,6 +353,27 @@ def test_converge_small_run(tmp_path, capsys):
     assert all("non_increasing_within_2se" in t for t in trend)
     report = report_from(capsys)
     assert report["trend"] == trend
+
+
+def test_converge_with_a_list_valued_eta_fill(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": LADDER, "boxes": ["2x2x2", "2x3x2"], "radii": [1], "samples": 40,
+        "eta_fill": [0.9, 0.5],
+    })
+    assert main(["converge", "--config", cfg, "--seed", "2", "--out", str(out)]) == 0
+    rows = (out / "converge.csv").read_text().strip().splitlines()[1:]
+    spec = load_model(LADDER)
+    alpha = NormalizingMeasure.product(spec.nu)
+    assert [row.split(",")[0] for row in rows] == ["2x2", "3x2"]
+    for row, box in zip(rows, [Box.from_shape(2, 2), Box.from_shape(3, 2)]):
+        ctx = QKernelContext(spec, box)
+        x = SiteSet([box.center()])
+        ball = r_neighborhood(x, 1) & SiteSet(box.sites())
+        eta = dict.fromkeys(ctx.eta_domain, (0.9, 0.5))
+        # the run's context read part of log Z in batches, a fresh one per code
+        want = partial_sum_expected(ctx, x, ball, eta, alpha)
+        assert float(row.split(",")[-1]) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,29 @@ def test_sampler_digit_rows_are_the_indexed_samples():
         sampler.digits(-1, 2)
 
 
+def test_sampler_repeats_its_last_block_without_redrawing():
+    region = [(i,) for i in range(5)]
+    law = {-1: 0.5, 1: 0.5}
+    first = DisorderSampler(law, region, seed=3).digits(0, 6)
+    # another sampler of the same stream gets the same read-only rows
+    assert DisorderSampler(law, region, seed=3).digits(0, 6) is first
+    assert not first.flags.writeable
+    # another seed, law, region size or block is drawn anew, row by index
+    others = [
+        (DisorderSampler(law, region, seed=4), 0),
+        (DisorderSampler({-1: 0.2, 1: 0.8}, region, seed=3), 0),
+        (DisorderSampler(law, region[:4], seed=3), 0),
+        (DisorderSampler(law, region, seed=3), 1),
+    ]
+    for sampler, start in others:
+        rows = sampler.digits(start, 6)
+        assert rows is not first
+        for i, row in enumerate(rows):
+            decoded = {s: sampler.values[int(k)] for s, k in zip(sampler.sites, row)}
+            assert decoded == sampler.sample(start + i)
+    assert np.array_equal(rows[:5], first[1:])
+
+
 def test_sampler_frequencies_match_the_law():
     region = [(i,) for i in range(200)]
     sampler = DisorderSampler({0: 0.7, 1: 0.3}, region, seed=9)

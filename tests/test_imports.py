@@ -9,12 +9,13 @@ or an attribute, is reported the same way: a helper orphaned by a deletion.
 A public one is reported unless something that a user's run reaches reads it:
 the package itself (``src/``), the benchmark (``perfbench/``), the acceptance
 criteria (``tests/test_acceptance.py``), the brute-force oracles
-(``tests/oracles.py``), or a word of README.  A re-export in ``__init__.py``
-is not a read, and neither is a unit test's: code that only its own unit
-tests call is not part of the package.  ``EXEMPT`` names the few public
-definitions kept without a reader, each with its reason, and a companion
-test fails once an exempt name is deleted or gains a reader, so no exemption
-outlives its reason.
+(``tests/oracles.py``), or a word of README's code: its fenced blocks and
+inline code spans (a prose word is English, not a read).  A re-export in
+``__init__.py`` is not a read, and neither is a unit test's: code that only
+its own unit tests call is not part of the package.  ``EXEMPT`` names the
+few public definitions kept without a reader, each with its reason, and a
+companion test fails once an exempt name is deleted or gains a reader, so
+no exemption outlives its reason.
 """
 
 import ast
@@ -35,7 +36,6 @@ EXEMPT = (
     ("telescope_logq", _ITEM_8),
     ("shell_cell_terms", _ITEM_8),
     ("spiral", "the site order of " + _ITEM_8),
-    ("gibbs_probability", "the per-configuration reference test_quenched checks conditional against"),
 )
 
 
@@ -92,14 +92,20 @@ def unread_private_definitions(sources: dict) -> list:
     )
 
 
+def markdown_code(text: str) -> str:
+    """The fenced blocks and inline code spans of a markdown text, joined."""
+    fence = re.compile(r"^```.*?^```", flags=re.M | re.S)
+    return "\n".join(fence.findall(text) + re.findall(r"`([^`\n]+)`", fence.sub("", text)))
+
+
 def unread_public_definitions(package: dict, readers: dict, readme: str) -> list:
     """``(module, line, name)`` of each public definition of ``package`` that
-    no source of ``readers`` reads and no word of ``readme`` names.
+    no source of ``readers`` reads and no word of ``readme``'s code names.
 
     ``readers`` maps a path to its source; the re-exports of an
     ``__init__.py`` there do not count as reads.
     """
-    read = set(re.findall(r"\w+", readme)).union(
+    read = set(re.findall(r"\w+", markdown_code(readme))).union(
         *(names_read(source, Path(path).name != "__init__.py") for path, source in readers.items())
     )
     return sorted(
@@ -151,6 +157,10 @@ def test_scan_flags_an_unread_public_definition():
     readers = dict(package, **{"tests/t.py": "from a import used\nprint(Table().size())\n"})
     found = unread_public_definitions(package, readers, "Call `documented()` first.")
     assert found == [("a.py", 4, "orphan"), ("a.py", 7, "exported"), ("a.py", 16, "width")]
+    # a prose word is not a read; a code span or a fenced block is
+    readme = "An orphan `width` stays.\n\n```sh\nexported --now\n```\n"
+    found = unread_public_definitions(package, readers, readme)
+    assert found == [("a.py", 4, "orphan"), ("a.py", 10, "documented")]
 
 
 def repo_unread_public_definitions() -> list:

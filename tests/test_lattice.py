@@ -70,11 +70,6 @@ def test_spiral_order_is_bijection_on_centered_boxes():
         assert dists == sorted(dists)
 
 
-def test_lexicographic_order_min():
-    order = SiteOrder.lexicographic()
-    assert order.min([(2, 0), (0, 2), (1, 1)]) == (0, 2)
-
-
 def test_box_basics():
     box = Box.from_shape(2, 3)
     assert box.dim == 2

@@ -108,6 +108,23 @@ def test_load_model_round_trips():
         load_model({"model": "no_such_model"})
 
 
+def test_load_model_random_bond_weights_flat_and_per_direction():
+    # the law of a site's coupling tuple is the product of its directions'
+    # laws; a flat weight list serves every direction
+    flat = load_model({"model": "random_bond", "couplings": [0.1, 0.9], "weights": [1, 3], "d": 2})
+    p = {0.1: 0.25, 0.9: 0.75}
+    assert flat.nu == pytest.approx({(a, b): p[a] * p[b] for a in p for b in p})
+    per = load_model({
+        "model": "random_bond", "couplings": [[0.1, 0.9], [0.5, 0.7]],
+        "weights": [[1, 3], [2, 6]], "d": 2,
+    })
+    q = {0.5: 0.25, 0.7: 0.75}
+    assert per.nu == pytest.approx({(a, b): p[a] * q[b] for a in p for b in q})
+    with pytest.raises(ConfigError):
+        load_model({"model": "random_bond", "couplings": [[0.1, 0.9], [0.5]],
+                    "weights": [[1, 3], [2, 2]], "d": 2})
+
+
 def test_sup_delta_h_closed_forms():
     # field flip: |h (e1 - e2) s| peaks at 2h
     assert sup_delta_h_single_site(make_rfim(0.3, 0.5), 1) == pytest.approx(1.0)

@@ -283,6 +283,23 @@ def test_q_properties_hold(spec, box):
         assert p["max_abs_violation"] <= 1e-10
 
 
+def test_q_properties_flag_a_log_q_that_misplaces_its_patches(monkeypatch):
+    ctx = QKernelContext(make_rfim(J=0.5, h=0.3), Box.from_shape(4))
+    right = ctx.patch_codes
+    # log_q with its two patches swapped: restriction reads its sub-window
+    # side through log_q and must catch it, with a witness
+    monkeypatch.setattr(ctx, "patch_codes", lambda V, patches, rest: right(V, patches[::-1], rest))
+    report = ctx.check_q_properties(trials=20, seed=2, tol=1e-10)
+    worst = {p["property"]: p for p in report["properties"]}
+    assert not report["pass"]
+    assert worst["antisymmetry"]["max_abs_violation"] == 0.0
+    restriction = worst["restriction"]
+    assert restriction["max_abs_violation"] > 1e-3
+    witness = restriction["witness"]
+    assert list(witness) == ["window", "sub_window", "eta1", "eta2"]
+    assert len(witness["eta1"]) == len(witness["eta2"]) == len(witness["window"])
+
+
 def test_q_properties_with_fixed_boundary():
     spec = make_rfim(J=0.5, h=0.3)
     bc = BoundaryCondition.fixed(fill=1)
@@ -440,7 +457,7 @@ def test_joint_conditional_with_fixed_boundary():
     box = Box.from_shape(2)
     sites = box.sites()
     collar = [(-1,), (2,)]
-    bc = BoundaryCondition.fixed(fill=1, eta={s: 1 for s in collar})
+    bc = BoundaryCondition.fixed(fill=1)
     ctx = QKernelContext(spec, box, bc)
     frozen = {s: 1 for s in collar}
 
@@ -653,12 +670,6 @@ def test_term_memo_gives_the_fresh_ensemble_bits(spec, bc):
         eta = rand_eta(rng, ctx.eta_domain, values)
         fresh = QuenchedEnsemble(spec, box, eta, bc)
         assert ctx.log_partition_at(eta) == fresh.log_partition()
-        # conditionals freeze other spins, so they must compile their own terms
-        sub = [(0, 0), (1, 0)]
-        for fill in spec.spin_values:
-            sigma_out = {s: fill for s in box.sites()}
-            got = ctx._ensemble_at(ctx.code(eta)).conditional(sub, sigma_out).log_partition()
-            assert got == fresh.conditional(sub, sigma_out).log_partition()
     # the stacks, and the tables a compile picks from them, are read-only
     picked = ctx._ensemble_at(ctx.code(eta)).compile().term_tables
     for table in [stack[0] for _, stack in terms] + picked:

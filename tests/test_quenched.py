@@ -1,5 +1,4 @@
 import math
-from itertools import product
 
 import numpy as np
 import pytest
@@ -41,40 +40,26 @@ def test_single_site_field():
     spec = make_rfim(J=0.3, h=0.7)
     ens = QuenchedEnsemble(spec, Box.from_shape(1), {(0,): 1})
     assert ens.log_partition() == pytest.approx(math.log(2 * math.cosh(0.7)), abs=1e-12)
-    assert ens.gibbs_probability({(0,): 1}) == pytest.approx(
-        math.exp(0.7) / (2 * math.cosh(0.7)), abs=1e-12
-    )
-
-
-def test_probabilities_normalize():
-    spec = make_rfim(J=0.4, h=0.25)
-    box = Box.from_shape(2, 2)
-    rng = np.random.default_rng(7)
-    eta = {s: int(rng.choice([-1, 1])) for s in box.sites()}
-    ens = QuenchedEnsemble(spec, box, eta)
-    total = 0.0
-    for combo in product((-1, 1), repeat=4):
-        total += ens.gibbs_probability(dict(zip(box.sites(), combo)))
-    assert total == pytest.approx(1.0, abs=1e-12)
+    # P(+1) - P(-1) = tanh(h): the field favours the disorder's sign
+    assert ens.magnetization((0,)) == pytest.approx(math.tanh(0.7), abs=1e-12)
 
 
 def test_uniform_when_no_interactions():
     spec = make_rfim(J=0.0, h=0.0)
     box = Box.from_shape(3)
     ens = QuenchedEnsemble(spec, box, eta_on(box.sites()))
-    for combo in product((-1, 1), repeat=3):
-        assert ens.gibbs_probability(dict(zip(box.sites(), combo))) == pytest.approx(
-            1 / 8, abs=1e-13
-        )
+    # every one of the 8 configurations has weight 1/8
+    assert ens.log_partition() == pytest.approx(3 * math.log(2), abs=1e-13)
+    for sites in ([(0,)], [(0,), (1,)], box.sites()):
+        assert ens.spin_product(sites) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_strong_bond_aligns():
     spec = make_rfim(J=5.0, h=0.0)
     box = Box.from_shape(2)
     ens = QuenchedEnsemble(spec, box, eta_on(box.sites()))
-    p_same = ens.gibbs_probability({(0,): 1, (1,): 1}) + ens.gibbs_probability(
-        {(0,): -1, (1,): -1}
-    )
+    # P(aligned) = (1 + <s0 s1>) / 2
+    p_same = (1 + ens.spin_product([(0,), (1,)])) / 2
     assert p_same > 0.9999
 
 
@@ -140,42 +125,6 @@ def test_random_bond_matches_brute():
         box.sites(), lambda sig: oracles.random_bond_energy(box.sites(), eta)(sig)
     )
     assert ens.log_partition() == pytest.approx(ref, abs=1e-11)
-
-
-def test_conditional_is_consistent():
-    # Gibbs family consistency: conditioning the 3x3 measure on the outside
-    # of a 2x1 patch reproduces the patch ensemble probabilities.
-    spec = make_rfim(J=0.45, h=0.2)
-    box = Box.from_shape(3, 3)
-    rng = np.random.default_rng(17)
-    eta = {s: int(rng.choice([-1, 1])) for s in box.sites()}
-    ens = QuenchedEnsemble(spec, box, eta)
-    sub = [(1, 1), (1, 2)]
-    outside = [s for s in box.sites() if s not in sub]
-    sigma_out = {s: int(rng.choice([-1, 1])) for s in outside}
-    cond = ens.conditional(sub, sigma_out)
-
-    def joint(patch):
-        sigma = dict(sigma_out)
-        sigma.update(patch)
-        return ens.gibbs_probability(sigma)
-
-    norm = sum(
-        joint(dict(zip(sub, combo))) for combo in product((-1, 1), repeat=2)
-    )
-    for combo in product((-1, 1), repeat=2):
-        patch = dict(zip(sub, combo))
-        assert cond.gibbs_probability(patch) == pytest.approx(
-            joint(patch) / norm, abs=1e-12
-        )
-
-
-def test_conditional_region_must_be_inside():
-    spec = make_rfim(J=0.3, h=0.1)
-    box = Box.from_shape(2, 2)
-    ens = QuenchedEnsemble(spec, box, eta_on(box.sites()))
-    with pytest.raises(ConfigError):
-        ens.conditional([(5, 5)], {})
 
 
 def test_non_numeric_spins_reject_magnetization():
